@@ -1,0 +1,106 @@
+"""Golden CLI outputs: small configs whose output files must not change.
+
+The expected files under tests/golden/expected were written by the CLI and
+are compared byte for byte. Floating-point bits depend on the numpy build and
+the BLAS kernels, so the comparison runs only in the environment recorded in
+tests/golden/ENVIRONMENT.json and is skipped elsewhere. To record new golden
+outputs after an intended output change, run from the repository root:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import sys
+
+import numpy as np
+import pytest
+
+from fedsim.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+CONFIGS = os.path.join(GOLDEN, "configs")
+EXPECTED = os.path.join(GOLDEN, "expected")
+ENVIRONMENT = os.path.join(GOLDEN, "ENVIRONMENT.json")
+
+RUN_OUTPUTS = ("metrics.jsonl", "summary.json")
+
+# case name -> (subcommand, extra arguments, output files); the config is
+# configs/<name>.json. Together they cover every algorithm, the ridge,
+# logistic and MLP families, every partition mode, and full, with- and
+# without-replacement participation.
+CASES = {
+    "fedavg_ridge_iid": ("run", (), RUN_OUTPUTS),
+    "scaffold_ridge_perclient_withrep": ("run", (), RUN_OUTPUTS),
+    "fedals_mlp_labelsorted_worep": ("run", (), RUN_OUTPUTS),
+    "fedals_scaffold_mlp_tanh_dirichlet": ("run", (), RUN_OUTPUTS),
+    "fedavg_mlp_batch1_perclient": ("run", (), RUN_OUTPUTS),
+    "scaffold_logistic_file_iid": ("run", (), RUN_OUTPUTS),
+    "sweep_fedals_mlp": ("sweep", ("--grid", "alpha=1,3;eta=0.05,0.1"), ("sweep.csv",)),
+    "trace_fedals_mlp": ("consensus-trace", ("--cadence", "1"), (
+        "consensus.csv", "consensus_summary.json",
+    )),
+}
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
+
+
+def run_case(name: str, out_dir: str) -> None:
+    """Run one case with the configs directory as working directory.
+
+    The file-backed config names its data file relative to that directory.
+    """
+    subcommand, extra, _ = CASES[name]
+    argv = [subcommand, f"{name}.json", *extra, "--out", out_dir]
+    cwd = os.getcwd()
+    os.chdir(CONFIGS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    if code != 0:
+        raise RuntimeError(f"golden case {name} exited {code}.")
+
+
+def _recorded_environment() -> dict:
+    with open(ENVIRONMENT, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs_are_byte_identical(name, tmp_path, monkeypatch):
+    recorded = _recorded_environment()
+    if environment() != recorded:
+        pytest.skip(f"golden outputs were recorded with {recorded}, this is {environment()}")
+    monkeypatch.setenv("FEDSIM_WORKERS", "1")
+    run_case(name, str(tmp_path))
+    for fname in CASES[name][2]:
+        got = (tmp_path / fname).read_bytes()
+        with open(os.path.join(EXPECTED, name, fname), "rb") as fh:
+            want = fh.read()
+        assert got == want, f"{name}/{fname} differs from its golden copy"
+
+
+def regenerate() -> None:
+    os.environ["FEDSIM_WORKERS"] = "1"
+    shutil.rmtree(EXPECTED, ignore_errors=True)
+    for name in sorted(CASES):
+        run_case(name, os.path.join(EXPECTED, name))
+    with open(ENVIRONMENT, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
+    print(f"wrote golden outputs for {len(CASES)} cases under {EXPECTED}", file=sys.stderr)
