@@ -4,14 +4,16 @@ One loop covers all four algorithms. Head blocks synchronize every tau local
 steps and representation blocks every alpha*tau; the averaging-period
 algorithms pin alpha to 1 so that every block syncs each round, and the
 control-variate algorithms add a drift correction to each local step. The
-loop is lockstep (clients advance together, ascending client order) and every
-random draw comes from a stream keyed by (seed, purpose, client, round), so
-results do not depend on evaluation order or worker count.
+loop is lockstep: the K clients' parameters, controls and snapshots are rows
+of (K, P) matrices, and one stacked loss_and_grad call advances every client
+by a local step, bit for bit as K single-client steps would. Every random draw
+comes from a stream keyed by (seed, purpose, client, round), so results do not
+depend on evaluation order or worker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,8 +31,9 @@ from .metrics import (
     consensus_map,
     empirical_risk,
     population_risk_estimate,
+    shard_risks,
 )
-from .models import ModelSpec, RidgeSpec, batch_loss, build_layout, init_params, loss_and_grad
+from .models import ModelSpec, RidgeSpec, build_layout, init_params, loss_and_grad
 from .params import (
     BlockLayout,
     ParamVector,
@@ -47,7 +50,14 @@ DIVERGENCE_LIMIT = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """Training blew up: a client loss exceeded the guard or went non-finite."""
+    """Training blew up: a client loss exceeded the guard or went non-finite.
+
+    client is the index of the client that failed, when one did.
+    """
+
+    def __init__(self, message: str, client: int | None = None):
+        super().__init__(message)
+        self.client = client
 
 
 @dataclass(frozen=True)
@@ -157,6 +167,36 @@ class ClientState:
 
 
 @dataclass
+class ClientStack:
+    """Every client's training state as (K, P) float64 matrices; row k is client k.
+
+    control and snapshot are present exactly for the control-variate
+    algorithms. rows holds one ClientState per client whose vectors are views
+    of the matrix rows, so the per-client API writes through to the stack.
+    The matrices are only ever updated in place, which keeps those views live.
+    """
+
+    params: np.ndarray
+    layout: BlockLayout
+    control: np.ndarray | None = None
+    snapshot: np.ndarray | None = None
+    rows: list[ClientState] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        def row(m, k):
+            return None if m is None else ParamVector(m[k], self.layout)
+
+        self.rows = [
+            ClientState(k, row(self.params, k), row(self.control, k), row(self.snapshot, k))
+            for k in range(self.params.shape[0])
+        ]
+
+    @property
+    def param_vectors(self) -> list[ParamVector]:
+        return [c.params for c in self.rows]
+
+
+@dataclass
 class CommCounter:
     """Parameters moved per client, upload and download counted separately."""
 
@@ -194,26 +234,46 @@ def comm_closed_form(schedule: ScheduleSpec, layout: BlockLayout) -> int:
 
 def local_sgd_step(
     model: ModelSpec,
-    client: ClientState,
+    client: ClientState | ClientStack,
     X,
     y,
     eta: float,
     correction: np.ndarray | None = None,
-) -> float:
+):
     """One SGD step on a batch: params -= eta * (grad + correction).
 
     The correction (control-variate delta c_bar - c_k) is added to the
     gradient before scaling, so a client whose variate equals the average
-    takes exactly the uncorrected step. Returns the batch loss.
+    takes exactly the uncorrected step. For one ClientState, X is (b, d), the
+    correction (P,) and the float batch loss is returned. For a ClientStack
+    every client steps in lockstep from one stacked loss_and_grad call: X is
+    (K, b, d), y (K, b), the correction (K, P), and the (K,) losses are
+    returned. Either way the state is updated in place.
     """
-    ev = loss_and_grad(model, client.params, X, y)
-    if ev.value > DIVERGENCE_LIMIT:
-        raise DivergenceError(f"client {client.client} loss {ev.value:.3e} exceeds {DIVERGENCE_LIMIT:.0e}.")
-    upd = ev.grad.values if correction is None else ev.grad.values + correction
-    client.params.values -= eta * upd
-    if not np.all(np.isfinite(client.params.values)):
-        raise DivergenceError(f"client {client.client} parameters went non-finite.")
-    return ev.value
+    if isinstance(client, ClientState):
+        theta = client.params.values[None]
+        ids = (client.client,)
+        X = np.asarray(X, dtype=np.float64)[None]
+        y = np.asarray(y)[None]
+        if correction is not None:
+            correction = np.asarray(correction)[None]
+    else:
+        theta = client.params
+        ids = range(theta.shape[0])
+    ev = loss_and_grad(model, theta, X, y)
+    upd = ev.grad if correction is None else ev.grad + correction
+    theta -= eta * upd
+    bad_loss = ~np.isfinite(ev.value) | (ev.value > DIVERGENCE_LIMIT)
+    bad_params = ~np.all(np.isfinite(theta), axis=1)
+    if np.any(bad_loss) or np.any(bad_params):
+        i = int(np.argmax(bad_loss | bad_params))
+        k, value = ids[i], ev.value[i]
+        if not np.isfinite(value):
+            raise DivergenceError("loss is non-finite.", k)
+        if bad_loss[i]:
+            raise DivergenceError(f"client {k} loss {value:.3e} exceeds {DIVERGENCE_LIMIT:.0e}.", k)
+        raise DivergenceError(f"client {k} parameters went non-finite.", k)
+    return float(ev.value[0]) if isinstance(client, ClientState) else ev.value
 
 
 def scaffold_control_update(
@@ -286,9 +346,9 @@ class RunResult:
     steps: int
 
 
-def _uniform_average(clients: Sequence[ClientState]) -> ParamVector:
-    k = len(clients)
-    return weighted_average([c.params for c in clients], [1.0 / k] * k)
+def _uniform_average(clients: ClientStack) -> ParamVector:
+    k = len(clients.rows)
+    return weighted_average(clients.param_vectors, [1.0 / k] * k)
 
 
 def run_experiment(
@@ -357,17 +417,14 @@ def run_experiment(
 
     use_control = algorithm in CONTROL_ALGORITHMS
     theta0 = init_params(model, layout, streams.substream(seed, streams.INIT))
-    zeros = np.zeros(layout.total_params)
-    clients = [
-        ClientState(
-            k,
-            theta0.copy(),
-            control=ParamVector(zeros.copy(), layout) if use_control else None,
-            snapshot=theta0.copy() if use_control else None,
-        )
-        for k in range(num_clients)
-    ]
-    c_bar = zeros.copy() if use_control else None
+    start = np.tile(theta0.values, (num_clients, 1))
+    clients = ClientStack(
+        start,
+        layout,
+        control=np.zeros_like(start) if use_control else None,
+        snapshot=start.copy() if use_control else None,
+    )
+    c_bar = np.zeros(layout.total_params) if use_control else None
 
     eval_shards = None
     exact_pop = None
@@ -401,22 +458,22 @@ def run_experiment(
         ]
         if record_round_trace:
             round_batches.append(batches)
+        # (K, tau, b, d) and (K, tau, b): step t reads every client's batch at once
+        round_X = np.stack([shards[k].X[batches[k]] for k in range(num_clients)])
+        round_y = np.stack([shards[k].y[batches[k]] for k in range(num_clients)])
         sync_gen = streams.substream(seed, streams.PARTICIPATION, r)
 
         for t in range(schedule.tau):
             step += 1
-            for k in range(num_clients):
-                c = clients[k]
-                idx = batches[k][t]
-                correction = c_bar - c.control.values if live_control else None
-                try:
-                    local_sgd_step(
-                        model, c, shards[k].X[idx], shards[k].y[idx], schedule.eta, correction
-                    )
-                except (ValueError, DivergenceError) as exc:
-                    raise DivergenceError(
-                        f"round {r} step {step} client {k}: {exc}"
-                    ) from exc
+            correction = c_bar - clients.control if live_control else None
+            try:
+                local_sgd_step(
+                    model, clients, round_X[:, t], round_y[:, t], schedule.eta, correction
+                )
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"round {r} step {step} client {exc.client}: {exc}", exc.client
+                ) from exc
 
             roles_due = [
                 role
@@ -424,7 +481,7 @@ def run_experiment(
                 if sync_due(step, role, schedule) and layout.role_size(role) > 0
             ]
             emit = bool(roles_due) or (consensus_every > 0 and step % consensus_every == 0)
-            cons = consensus_map([c.params for c in clients]) if emit else None
+            cons = consensus_map(clients.param_vectors) if emit else None
 
             if roles_due:
                 participants, agg_w = sample_participants(participation, num_clients, w, sync_gen)
@@ -433,17 +490,15 @@ def run_experiment(
                     if live_control:
                         period = schedule.tau if role == Role.HEAD else schedule.alpha * schedule.tau
                         old_bar = c_bar.copy()
-                        for c in clients:
+                        for c in clients.rows:
                             scaffold_control_update(c, old_bar, schedule.eta, period, slices)
                         for sl in slices:
-                            c_bar[sl] = np.mean(
-                                np.stack([c.control.values[sl] for c in clients]), axis=0
-                            )
-                    size = aggregate(clients, layout, role, participants, agg_w)
+                            # a contiguous copy reduces exactly as a stack of the rows
+                            c_bar[sl] = np.mean(np.ascontiguousarray(clients.control[:, sl]), axis=0)
+                    size = aggregate(clients.rows, layout, role, participants, agg_w)
                     if use_control:
-                        for c in clients:
-                            for sl in slices:
-                                c.snapshot.values[sl] = c.params.values[sl]
+                        for sl in slices:
+                            clients.snapshot[:, sl] = clients.params[:, sl]
                     comm.record_sync(size, participants)
 
             if emit:
@@ -459,7 +514,7 @@ def run_experiment(
                     if test is not None:
                         gap = test - train
                     if per_client_risks:
-                        pcr = [batch_loss(model, avg, s.X, s.y) for s in shards]
+                        pcr = shard_risks(model, avg, shards)
                 rec = MetricsRecord(
                     round=r,
                     step=step,
@@ -481,8 +536,8 @@ def run_experiment(
     return RunResult(
         final_params=final,
         initial_params=theta0,
-        client_params=[c.params for c in clients],
-        client_controls=[c.control for c in clients] if use_control else None,
+        client_params=clients.param_vectors,
+        client_controls=[c.control for c in clients.rows] if use_control else None,
         records=records,
         round_params=round_params,
         round_batches=round_batches,

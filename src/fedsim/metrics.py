@@ -15,10 +15,11 @@ import numpy as np
 
 from .data import DatasetShard, GaussianClusters, GaussianLinear, GeneratorSpec
 from .models import (
-    LogisticL2Spec,
-    MlpSpec,
+    _EVALS,
     ModelSpec,
     RidgeSpec,
+    _check_batch,
+    _rowdot,
     batch_loss,
     population_risk_closed_form,
     predict,
@@ -57,30 +58,54 @@ class MetricsRecord:
         }
 
 
-def sample_losses(model: ModelSpec, params: ParamVector, X, y) -> np.ndarray:
-    """Per-sample losses (each includes the l2 term, matching the batch mean)."""
-    X = np.asarray(X, dtype=np.float64)
-    theta = params.values
-    if isinstance(model, RidgeSpec):
-        r = X @ theta - np.asarray(y, dtype=np.float64)
-        data = 0.5 * r * r
-    elif isinstance(model, LogisticL2Spec):
-        yf = np.asarray(y).astype(np.float64)
-        data = np.logaddexp(0.0, -yf * (X @ theta))
-    else:
-        from .models import _mlp_views  # forward pass only
+def sample_losses(model: ModelSpec, params, X, y) -> np.ndarray:
+    """Per-sample losses, each including the l2 term so they average to the batch mean.
 
-        labels = np.asarray(y).astype(np.int64)
-        layers = _mlp_views(model, theta)
-        a = X
-        for i, (w, b) in enumerate(layers):
-            z = a @ w + b
-            if i < len(layers) - 1:
-                a = np.maximum(z, 0.0) if model.activation == "relu" else np.tanh(z)
-        zmax = z.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-        data = lse - z[np.arange(X.shape[0]), labels]
-    return data + 0.5 * model.l2 * float(np.dot(theta, theta))
+    params is a ParamVector with X (n, d), giving (n,), or a stacked (K, P)
+    matrix with X (K, n, d), giving (K, n) by one evaluation. Unlike the
+    batch mean, a one-sample batch is evaluated as it is.
+    """
+    theta, X, y = _check_batch(model, params, X, y)
+    data, _ = _EVALS[type(model)](model, theta, X, y, False)
+    losses = data + (0.5 * model.l2 * _rowdot(theta))[:, None]
+    return losses[0] if isinstance(params, ParamVector) else losses
+
+
+# Samples per stacked evaluation: bounds the transient memory of evaluating
+# many shards at once, and leaves no shard's bits depending on its group.
+STACK_SAMPLES = 1024
+
+
+def _stacked_shards(shards: Sequence[DatasetShard], params: ParamVector):
+    """Equal-size shards stacked for one call: (indices, theta, X, y) per chunk.
+
+    A chunk holds up to STACK_SAMPLES samples (at least one shard); theta
+    repeats params once per shard without copying it.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(shards):
+        groups.setdefault(s.n, []).append(i)
+    chunks = []
+    for n, members in groups.items():
+        per = max(1, STACK_SAMPLES // n)
+        chunks += [members[j : j + per] for j in range(0, len(members), per)]
+    for idx in chunks:
+        theta = np.broadcast_to(params.values, (len(idx), params.values.shape[0]))
+        X = np.stack([shards[i].X for i in idx])
+        y = np.stack([shards[i].y for i in idx])
+        yield idx, theta, X, y
+
+
+def shard_risks(model: ModelSpec, params: ParamVector, shards: Sequence[DatasetShard]) -> list[float]:
+    """Mean loss of params on each shard, as batch_loss per shard would give it."""
+    risks = [0.0] * len(shards)
+    for idx, theta, X, y in _stacked_shards(shards, params):
+        values = batch_loss(model, theta, X, y)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("loss is non-finite.")
+        for i, v in zip(idx, values):
+            risks[i] = float(v)
+    return risks
 
 
 def empirical_risk(
@@ -95,7 +120,7 @@ def empirical_risk(
     if abs(float(np.sum(np.asarray(weights, dtype=np.float64))) - 1.0) > 1e-12:
         raise ValueError("client weights must sum to 1.")
     # anchored form: identical shard risks collapse to the first value exactly
-    risks = [batch_loss(model, params, s.X, s.y) for s in shards]
+    risks = shard_risks(model, params, shards)
     total = risks[0]
     for risk, w in zip(risks[1:], weights[1:]):
         total += float(w) * (risk - risks[0])
@@ -141,14 +166,36 @@ def population_risk_estimate(
     shards = list(source)
     if len(shards) != len(weights):
         raise ValueError("one weight per holdout shard required.")
+    per_shard = [None] * len(shards)
+    for idx, theta, X, y in _stacked_shards(shards, params):
+        for i, losses in zip(idx, sample_losses(model, theta, X, y)):
+            per_shard[i] = losses
     total = 0.0
     var = 0.0
-    for shard, w in zip(shards, weights):
-        losses = sample_losses(model, params, shard.X, shard.y)
+    for shard, w, losses in zip(shards, weights, per_shard):
         total += w * float(np.mean(losses))
         if shard.n > 1:
             var += w * w * float(np.var(losses, ddof=1)) / shard.n
     return total, float(np.sqrt(var))
+
+
+def _stacked_with_center(client_params: Sequence[ParamVector]):
+    if not client_params:
+        raise ValueError("need at least one client.")
+    layout = client_params[0].layout
+    for p in client_params[1:]:
+        if p.layout != layout:
+            raise ValueError("client vectors do not share a layout.")
+    stacked = np.stack([p.values for p in client_params])
+    return layout, stacked, np.mean(stacked, axis=0)
+
+
+def _distance(stacked: np.ndarray, center: np.ndarray, slices) -> float:
+    total = 0.0
+    for sl in slices:
+        diff = stacked[:, sl] - center[sl]
+        total += float(np.sum(diff * diff))
+    return total / stacked.shape[0]
 
 
 def consensus_distance(
@@ -162,31 +209,20 @@ def consensus_distance(
     is always uniform, matching the drift quantity the schedules control, even
     when evaluation weights are not.
     """
-    if not client_params:
-        raise ValueError("need at least one client.")
     if role_filter is not None and block is not None:
         raise ValueError("select by role or by block, not both.")
-    layout = client_params[0].layout
-    for p in client_params[1:]:
-        if p.layout != layout:
-            raise ValueError("client vectors do not share a layout.")
+    layout, stacked, center = _stacked_with_center(client_params)
     if block is not None:
         slices = (layout.block(block).slice,)
     else:
         slices = layout.role_slices(role_filter)
-    stacked = np.stack([p.values for p in client_params])
-    center = np.mean(stacked, axis=0)
-    total = 0.0
-    for sl in slices:
-        diff = stacked[:, sl] - center[sl]
-        total += float(np.sum(diff * diff))
-    return total / len(client_params)
+    return _distance(stacked, center, slices)
 
 
 def consensus_map(client_params: Sequence[ParamVector]) -> dict[str, float]:
-    """Per-block consensus distances, in layout order."""
-    layout = client_params[0].layout
-    return {b.name: consensus_distance(client_params, block=b.name) for b in layout.blocks}
+    """Per-block consensus distances, in layout order, from one stack and centre."""
+    layout, stacked, center = _stacked_with_center(client_params)
+    return {b.name: _distance(stacked, center, (b.slice,)) for b in layout.blocks}
 
 
 def roundwise_gen_error(

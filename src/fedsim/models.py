@@ -1,9 +1,10 @@
 """Model families: ridge regression, l2 logistic regression, small MLPs.
 
 Each family provides batch loss/gradient evaluation on a flat parameter
-vector. Ridge additionally has closed forms (exact curvature constants, exact
-empirical minimizer, exact population risk under Gaussian linear data) that
-the verification lab builds on. The l2 term is part of the per-sample loss,
+vector, or on a (K, P) matrix of K such vectors in one stacked call. Ridge
+additionally has closed forms (exact curvature constants, exact empirical
+minimizer, exact population risk under Gaussian linear data) that the
+verification lab builds on. The l2 term is part of the per-sample loss,
 so it appears exactly once in a batch-averaged loss.
 """
 
@@ -88,8 +89,11 @@ ModelSpec = RidgeSpec | LogisticL2Spec | MlpSpec
 
 @dataclass(frozen=True)
 class LossEval:
-    value: float
-    grad: ParamVector
+    """A batch-mean loss and its gradient: a float and a ParamVector, or for a
+    stacked call the (K,) values and the (K, P) gradient matrix."""
+
+    value: float | np.ndarray
+    grad: ParamVector | np.ndarray
 
 
 def build_layout(model: ModelSpec, representation_layers: int = 0) -> BlockLayout:
@@ -136,21 +140,35 @@ def init_params(model: ModelSpec, layout: BlockLayout, rng: np.random.Generator)
     return ParamVector(theta, layout)
 
 
-def _check_batch(model: ModelSpec, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_batch(model: ModelSpec, params, X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parameter matrix and batches in stacked form: (K, P), (K, b, d), (K, b).
+
+    A ParamVector with one batch (b, d), (b,) becomes the K = 1 stack.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("batch must be a non-empty 2-d array of samples.")
-    if X.shape[1] != model.input_dim:
-        raise ValueError(f"features have dim {X.shape[1]}, model expects {model.input_dim}.")
-    if y.shape != (X.shape[0],):
+    if isinstance(params, ParamVector):
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise ValueError("batch must be a non-empty 2-d array of samples.")
+        theta, X, y = params.values[None], X[None], y[None]
+    else:
+        theta = params
+        if theta.ndim != 2 or X.ndim != 3 or X.shape[:1] != theta.shape[:1] or X.shape[1] == 0:
+            raise ValueError("stacked batches must be (K, b, d) with b >= 1, one per parameter row.")
+    if X.shape[2] != model.input_dim:
+        raise ValueError(f"features have dim {X.shape[2]}, model expects {model.input_dim}.")
+    if y.shape != X.shape[:2]:
         raise ValueError("labels must be a vector matching the batch size.")
-    if X.shape[0] == 1:
+    return theta, X, y
+
+
+def _duplicate_single(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if X.shape[1] == 1:
         # single-row matmuls can hit a different BLAS kernel than multi-row
         # ones; evaluating the exact 2-fold duplicate keeps batch means
         # bitwise invariant under sample duplication for every batch size
-        X = np.concatenate([X, X])
-        y = np.concatenate([y, y])
+        X = np.concatenate([X, X], axis=1)
+        y = np.concatenate([y, y], axis=1)
     return X, y
 
 
@@ -159,137 +177,192 @@ def _halving_sum(a: np.ndarray):
 
     Duplicating a batch as [A; A] splits exactly at the copy boundary, so the
     sum doubles exactly and batch means are bitwise invariant under sample
-    duplication (a library reduction does not guarantee that).
+    duplication (a library reduction does not guarantee that). Batches of
+    up to 3 rows are summed inline, in the same order as the recursion.
     """
     n = a.shape[0]
-    if n == 1:
-        return a[0]
+    if n <= 3:
+        return a[0] if n == 1 else a[0] + a[1] if n == 2 else a[0] + (a[1] + a[2])
     h = n // 2
     return _halving_sum(a[:h]) + _halving_sum(a[h:])
 
 
+def _sample_sum(a: np.ndarray):
+    """_halving_sum over the sample axis 1 of a stacked (K, b, ...) array.
+
+    Every addition is element by element, so the client axis 0 changes no
+    bit. One client takes the axis-0 recursion on its own rows, whose slices
+    are cheaper to take.
+    """
+    if a.shape[0] == 1:
+        return _halving_sum(a[0])[None]
+    n = a.shape[1]
+    if n <= 3:
+        if n == 1:
+            return a[:, 0]
+        return a[:, 0] + a[:, 1] if n == 2 else a[:, 0] + (a[:, 1] + a[:, 2])
+    h = n // 2
+    return _sample_sum(a[:, :h]) + _sample_sum(a[:, h:])
+
+
+def _matvec(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """(K, b, d) @ (K, d) -> (K, b): one BLAS matrix-vector call per client."""
+    return np.matmul(X, theta[:, :, None])[:, :, 0]
+
+
+def _rowdot(theta: np.ndarray) -> np.ndarray:
+    """Squared norm of every row, each by one BLAS dot, as np.dot(row, row)."""
+    return np.matmul(theta[:, None, :], theta[:, :, None])[:, 0, 0]
+
+
+# Each family evaluator takes theta (K, P), X (K, b, d) and y (K, b) and returns
+# the per-sample data losses (K, b) and, when need_grad is set, the batch-mean
+# data gradient (K, P), summed by halving along the sample axis.
+
+
 def _ridge_eval(model, theta, X, y, need_grad):
-    r = X @ theta - y
-    value = float(_halving_sum(0.5 * r * r)) / X.shape[0] + 0.5 * model.l2 * float(
-        np.dot(theta, theta)
-    )
-    if not need_grad:
-        return value, None
-    grad = _halving_sum(X * r[:, None]) / X.shape[0] + model.l2 * theta
-    return value, grad
+    r = _matvec(X, theta) - y
+    grad = _sample_sum(X * r[:, :, None]) / X.shape[1] if need_grad else None
+    return 0.5 * r * r, grad
 
 
 def _logistic_eval(model, theta, X, y, need_grad):
     if not np.all(np.abs(y) == 1):
         raise ValueError("logistic labels must be -1 or +1.")
     yf = y.astype(np.float64)
-    t = yf * (X @ theta)
-    value = float(_halving_sum(np.logaddexp(0.0, -t))) / X.shape[0] + 0.5 * model.l2 * float(
-        np.dot(theta, theta)
-    )
+    t = yf * _matvec(X, theta)
+    data = np.logaddexp(0.0, -t)
     if not need_grad:
-        return value, None
+        return data, None
     # sigmoid(-t) via tanh is stable for large |t|
     s = 0.5 * (1.0 - np.tanh(0.5 * t))
-    grad = _halving_sum(X * (-yf * s)[:, None]) / X.shape[0] + model.l2 * theta
-    return value, grad
+    return data, _sample_sum(X * (-yf * s)[:, :, None]) / X.shape[1]
 
 
 def _mlp_views(model: MlpSpec, theta: np.ndarray):
+    """Per-layer (weights (K, in, out), bias (K, out)) views into theta (K, P)."""
     widths = model.widths
+    k = theta.shape[0]
     views = []
     offset = 0
     for i in range(model.num_layers):
         fan_in, fan_out = widths[i], widths[i + 1]
-        w = theta[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = theta[:, offset : offset + fan_in * fan_out].reshape(k, fan_in, fan_out)
         offset += fan_in * fan_out
-        b = theta[offset : offset + fan_out]
+        b = theta[:, offset : offset + fan_out]
         offset += fan_out
         views.append((w, b))
     return views
+
+
+def _mlp_forward(model: MlpSpec, theta: np.ndarray, X: np.ndarray):
+    """Layer inputs and pre-activations; the last pre-activation is the logits.
+
+    One stacked matmul per layer: a BLAS call per client on its own matrices.
+    """
+    layers = _mlp_views(model, theta)
+    acts = [X]
+    pre = []
+    a = X
+    for i, (w, b) in enumerate(layers):
+        z = np.matmul(a, w) + b[:, None, :]
+        pre.append(z)
+        if i < len(layers) - 1:
+            a = np.maximum(z, 0.0) if model.activation == "relu" else np.tanh(z)
+            acts.append(a)
+    return layers, acts, pre
 
 
 def _mlp_eval(model, theta, X, y, need_grad):
     labels = y.astype(np.int64)
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("class labels out of range.")
-    layers = _mlp_views(model, theta)
-    n = X.shape[0]
-
-    acts = [X]
-    pre = []
-    a = X
-    for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        pre.append(z)
-        if i < len(layers) - 1:
-            a = np.maximum(z, 0.0) if model.activation == "relu" else np.tanh(z)
-            acts.append(a)
+    layers, acts, pre = _mlp_forward(model, theta, X)
+    k, n = labels.shape
+    picked = (np.arange(k)[:, None], np.arange(n), labels)  # each sample's own class
     logits = pre[-1]
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    data_loss = float(_halving_sum(lse - logits[np.arange(n), labels])) / n
-    value = data_loss + 0.5 * model.l2 * float(np.dot(theta, theta))
+    zmax = logits.max(axis=2, keepdims=True)
+    probs = np.exp(logits - zmax)
+    lse = zmax[:, :, 0] + np.log(probs.sum(axis=2))
+    data = lse - logits[picked]
     if not need_grad:
-        return value, None
+        return data, None
 
     grad = np.zeros_like(theta)
     gviews = _mlp_views(model, grad)
-    probs = np.exp(logits - zmax)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= probs.sum(axis=2, keepdims=True)
     delta = probs
-    delta[np.arange(n), labels] -= 1.0
+    delta[picked] -= 1.0
     delta /= n
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = gviews[i]
         # contract the sample axis by halving, not BLAS, for duplication invariance
-        gw[:] = _halving_sum(acts[i][:, :, None] * delta[:, None, :])
-        gb[:] = _halving_sum(delta)
+        gw[:] = _sample_sum(acts[i][:, :, :, None] * delta[:, :, None, :])
+        gb[:] = _sample_sum(delta)
         if i > 0:
-            upstream = delta @ layers[i][0].T
+            upstream = np.matmul(delta, layers[i][0].transpose(0, 2, 1))
             if model.activation == "relu":
                 delta = upstream * (pre[i - 1] > 0.0)
             else:
                 delta = upstream * (1.0 - np.tanh(pre[i - 1]) ** 2)
-    grad += model.l2 * theta
-    return value, grad
+    return data, grad
 
 
 _EVALS = {RidgeSpec: _ridge_eval, LogisticL2Spec: _logistic_eval, MlpSpec: _mlp_eval}
 
 
-def loss_and_grad(model: ModelSpec, params: ParamVector, X, y) -> LossEval:
-    """Batch-mean loss and gradient at params."""
-    X, y = _check_batch(model, X, y)
-    value, grad = _EVALS[type(model)](model, params.values, X, y, True)
-    if not np.isfinite(value):
-        raise ValueError("loss is non-finite.")
-    return LossEval(value, ParamVector(grad, params.layout))
+def _evaluate(model: ModelSpec, params, X, y, need_grad: bool):
+    theta, X, y = _check_batch(model, params, X, y)
+    X, y = _duplicate_single(X, y)
+    data, grad = _EVALS[type(model)](model, theta, X, y, need_grad)
+    value = _sample_sum(data) / X.shape[1] + 0.5 * model.l2 * _rowdot(theta)
+    if grad is not None:
+        grad += model.l2 * theta
+    return value, grad
 
 
-def batch_loss(model: ModelSpec, params: ParamVector, X, y) -> float:
-    """Batch-mean loss only. Same value path as loss_and_grad."""
-    X, y = _check_batch(model, X, y)
-    value, _ = _EVALS[type(model)](model, params.values, X, y, False)
-    if not np.isfinite(value):
+# The public evaluators take either one ParamVector with one batch, X (b, d)
+# and y (b,), or a stacked (K, P) parameter matrix with one batch per row,
+# X (K, b, d) and y (K, b). A stacked call is one evaluation for all K rows;
+# row k of its result equals the single call on row k bit for bit. Stacked
+# results are returned unchecked, so the caller guards finiteness once.
+
+
+def loss_and_grad(model: ModelSpec, params, X, y) -> LossEval:
+    """Batch-mean loss and gradient at params.
+
+    A single call returns a float value and a ParamVector gradient and
+    rejects a non-finite value; a stacked call returns the (K,) values and
+    the (K, P) gradient matrix.
+    """
+    value, grad = _evaluate(model, params, X, y, True)
+    if not isinstance(params, ParamVector):
+        return LossEval(value, grad)
+    if not np.isfinite(value[0]):
         raise ValueError("loss is non-finite.")
-    return value
+    return LossEval(float(value[0]), ParamVector(grad[0], params.layout))
+
+
+def batch_loss(model: ModelSpec, params, X, y):
+    """Batch-mean loss only, by the same path as loss_and_grad: a float, or (K,) stacked."""
+    value, _ = _evaluate(model, params, X, y, False)
+    if not isinstance(params, ParamVector):
+        return value
+    if not np.isfinite(value[0]):
+        raise ValueError("loss is non-finite.")
+    return float(value[0])
 
 
 def predict(model: ModelSpec, params: ParamVector, X) -> np.ndarray:
     """Model outputs: regression values for ridge, class labels otherwise."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)[None]
+    theta = params.values[None]
     if isinstance(model, RidgeSpec):
-        return X @ params.values
+        return _matvec(X, theta)[0]
     if isinstance(model, LogisticL2Spec):
-        return np.where(X @ params.values >= 0.0, 1, -1)
-    layers = _mlp_views(model, params.values)
-    a = X
-    for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        if i < len(layers) - 1:
-            a = np.maximum(z, 0.0) if model.activation == "relu" else np.tanh(z)
-    return np.argmax(z, axis=1)
+        return np.where(_matvec(X, theta)[0] >= 0.0, 1, -1)
+    _, _, pre = _mlp_forward(model, theta, X)
+    return np.argmax(pre[-1][0], axis=1)
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,26 @@ def test_run_exit_codes(tmp_path, capsys):
     assert main(["run", _write(tmp_path, doc, "c4.json"), "--out", str(tmp_path / "o")]) == 2
     assert "divergence" in capsys.readouterr().err
 
+
+
+def test_divergence_exits_2_naming_round_step_and_client(tmp_path, capsys):
+    doc = _ridge_doc()
+    doc["schedule"]["eta"] = 500.0
+    doc["schedule"]["rounds"] = 30
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"divergence: round \d+ step \d+ client \d+: ", err), err
+
+
+def test_invalid_labels_exit_1_not_2(tmp_path, capsys):
+    # binary clusters carry labels 0/1, but logistic_l2 needs -1/+1
+    doc = _ridge_doc()
+    doc["model"] = {"family": "logistic_l2", "input_dim": 2}
+    doc["data"]["source"] = {"kind": "gaussian_clusters", "dim": 2, "num_classes": 2}
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: logistic labels must be -1 or +1" in err
+    assert "divergence" not in err
 
 def test_parse_grid():
     axes = parse_grid("alpha=1,5;tau=10;eta=0.1,0.2;seed=1,2,3")
