@@ -261,8 +261,12 @@ def local_sgd_step(
         theta = client.params
         ids = range(theta.shape[0])
     ev = loss_and_grad(model, theta, X, y)
-    upd = ev.grad if correction is None else ev.grad + correction
-    theta -= eta * upd
+    # in place on the fresh gradient: no further (K, P) temporary, same bits
+    upd = ev.grad
+    if correction is not None:
+        upd += correction
+    upd *= eta
+    theta -= upd
     bad_loss = ~np.isfinite(ev.value) | (ev.value > DIVERGENCE_LIMIT)
     bad_params = ~np.all(np.isfinite(theta), axis=1)
     if np.any(bad_loss) or np.any(bad_params):

@@ -15,14 +15,13 @@ import numpy as np
 
 from .data import DatasetShard, GaussianClusters, GaussianLinear, GeneratorSpec
 from .models import (
-    _EVALS,
     ModelSpec,
     RidgeSpec,
-    _check_batch,
-    _rowdot,
     batch_loss,
     population_risk_closed_form,
     predict,
+    sample_losses,
+    stack_rows,
 )
 from .params import ParamVector, Role
 
@@ -58,36 +57,18 @@ class MetricsRecord:
         }
 
 
-def sample_losses(model: ModelSpec, params, X, y) -> np.ndarray:
-    """Per-sample losses, each including the l2 term so they average to the batch mean.
-
-    params is a ParamVector with X (n, d), giving (n,), or a stacked (K, P)
-    matrix with X (K, n, d), giving (K, n) by one evaluation. Unlike the
-    batch mean, a one-sample batch is evaluated as it is.
-    """
-    theta, X, y = _check_batch(model, params, X, y)
-    data, _ = _EVALS[type(model)](model, theta, X, y, False)
-    losses = data + (0.5 * model.l2 * _rowdot(theta))[:, None]
-    return losses[0] if isinstance(params, ParamVector) else losses
-
-
-# Samples per stacked evaluation: bounds the transient memory of evaluating
-# many shards at once, and leaves no shard's bits depending on its group.
-STACK_SAMPLES = 1024
-
-
-def _stacked_shards(shards: Sequence[DatasetShard], params: ParamVector):
+def _stacked_shards(model: ModelSpec, shards: Sequence[DatasetShard], params: ParamVector):
     """Equal-size shards stacked for one call: (indices, theta, X, y) per chunk.
 
-    A chunk holds up to STACK_SAMPLES samples (at least one shard); theta
-    repeats params once per shard without copying it.
+    A chunk holds the shards that models.stack_rows lets one loss evaluation
+    take, at least one; theta repeats params once per shard without copying it.
     """
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(shards):
         groups.setdefault(s.n, []).append(i)
     chunks = []
     for n, members in groups.items():
-        per = max(1, STACK_SAMPLES // n)
+        per = stack_rows(model, n, need_grad=False)
         chunks += [members[j : j + per] for j in range(0, len(members), per)]
     for idx in chunks:
         theta = np.broadcast_to(params.values, (len(idx), params.values.shape[0]))
@@ -99,7 +80,7 @@ def _stacked_shards(shards: Sequence[DatasetShard], params: ParamVector):
 def shard_risks(model: ModelSpec, params: ParamVector, shards: Sequence[DatasetShard]) -> list[float]:
     """Mean loss of params on each shard, as batch_loss per shard would give it."""
     risks = [0.0] * len(shards)
-    for idx, theta, X, y in _stacked_shards(shards, params):
+    for idx, theta, X, y in _stacked_shards(model, shards, params):
         values = batch_loss(model, theta, X, y)
         if not np.all(np.isfinite(values)):
             raise ValueError("loss is non-finite.")
@@ -167,7 +148,7 @@ def population_risk_estimate(
     if len(shards) != len(weights):
         raise ValueError("one weight per holdout shard required.")
     per_shard = [None] * len(shards)
-    for idx, theta, X, y in _stacked_shards(shards, params):
+    for idx, theta, X, y in _stacked_shards(model, shards, params):
         for i, losses in zip(idx, sample_losses(model, theta, X, y)):
             per_shard[i] = losses
     total = 0.0

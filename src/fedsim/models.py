@@ -177,32 +177,17 @@ def _halving_sum(a: np.ndarray):
 
     Duplicating a batch as [A; A] splits exactly at the copy boundary, so the
     sum doubles exactly and batch means are bitwise invariant under sample
-    duplication (a library reduction does not guarantee that). Batches of
-    up to 3 rows are summed inline, in the same order as the recursion.
+    duplication (a library reduction does not guarantee that). A stacked
+    (K, b, ...) array is summed over its sample axis as a.swapaxes(0, 1):
+    every addition is element by element, so each client row gets the bits of
+    its own single-client sum. Up to 3 rows are summed inline, in the
+    recursion's order, which saves most of the Python calls.
     """
     n = a.shape[0]
     if n <= 3:
         return a[0] if n == 1 else a[0] + a[1] if n == 2 else a[0] + (a[1] + a[2])
     h = n // 2
     return _halving_sum(a[:h]) + _halving_sum(a[h:])
-
-
-def _sample_sum(a: np.ndarray):
-    """_halving_sum over the sample axis 1 of a stacked (K, b, ...) array.
-
-    Every addition is element by element, so the client axis 0 changes no
-    bit. One client takes the axis-0 recursion on its own rows, whose slices
-    are cheaper to take.
-    """
-    if a.shape[0] == 1:
-        return _halving_sum(a[0])[None]
-    n = a.shape[1]
-    if n <= 3:
-        if n == 1:
-            return a[:, 0]
-        return a[:, 0] + a[:, 1] if n == 2 else a[:, 0] + (a[:, 1] + a[:, 2])
-    h = n // 2
-    return _sample_sum(a[:, :h]) + _sample_sum(a[:, h:])
 
 
 def _matvec(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -222,7 +207,7 @@ def _rowdot(theta: np.ndarray) -> np.ndarray:
 
 def _ridge_eval(model, theta, X, y, need_grad):
     r = _matvec(X, theta) - y
-    grad = _sample_sum(X * r[:, :, None]) / X.shape[1] if need_grad else None
+    grad = _halving_sum((X * r[:, :, None]).swapaxes(0, 1)) / X.shape[1] if need_grad else None
     return 0.5 * r * r, grad
 
 
@@ -236,7 +221,7 @@ def _logistic_eval(model, theta, X, y, need_grad):
         return data, None
     # sigmoid(-t) via tanh is stable for large |t|
     s = 0.5 * (1.0 - np.tanh(0.5 * t))
-    return data, _sample_sum(X * (-yf * s)[:, :, None]) / X.shape[1]
+    return data, _halving_sum((X * (-yf * s)[:, :, None]).swapaxes(0, 1)) / X.shape[1]
 
 
 def _mlp_views(model: MlpSpec, theta: np.ndarray):
@@ -297,8 +282,8 @@ def _mlp_eval(model, theta, X, y, need_grad):
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = gviews[i]
         # contract the sample axis by halving, not BLAS, for duplication invariance
-        gw[:] = _sample_sum(acts[i][:, :, :, None] * delta[:, :, None, :])
-        gb[:] = _sample_sum(delta)
+        gw[:] = _halving_sum((acts[i][:, :, :, None] * delta[:, :, None, :]).swapaxes(0, 1))
+        gb[:] = _halving_sum(delta.swapaxes(0, 1))
         if i > 0:
             upstream = np.matmul(delta, layers[i][0].transpose(0, 2, 1))
             if model.activation == "relu":
@@ -310,14 +295,54 @@ def _mlp_eval(model, theta, X, y, need_grad):
 
 _EVALS = {RidgeSpec: _ridge_eval, LogisticL2Spec: _logistic_eval, MlpSpec: _mlp_eval}
 
+# Float64 elements the transient arrays of one stacked evaluation may hold. A
+# larger stack is evaluated in chunks of rows, written into one (K, P)
+# gradient; rows are independent, so chunking changes no bit. One row is never
+# split, so a row larger than the budget costs what a single-client call costs.
+STACK_ELEMENTS = 1 << 16
+
+
+def stack_rows(model: ModelSpec, b: int, need_grad: bool) -> int:
+    """Rows of one stacked evaluation on b-sample batches that fit STACK_ELEMENTS (at least 1)."""
+    if isinstance(model, MlpSpec):
+        w = model.widths
+        per_sample = 2 * sum(w)  # layer inputs, pre-activations, probabilities
+        if need_grad:
+            # one layer's (in, out) weight-gradient product per sample
+            per_sample += max(w[i] * w[i + 1] for i in range(model.num_layers))
+    else:
+        per_sample = 2 * model.input_dim  # the batch and its gradient product
+    return max(1, STACK_ELEMENTS // (b * per_sample))
+
+
+def _eval_rows(model: ModelSpec, theta, X, y, need_grad: bool):
+    data, grad = _EVALS[type(model)](model, theta, X, y, need_grad)
+    if grad is not None:
+        grad += model.l2 * theta
+    return data, grad
+
+
+def _stacked_eval(model: ModelSpec, theta, X, y, need_grad: bool):
+    """Per-sample data losses (K, b) and, with need_grad, the batch-mean gradient
+    (K, P) with its l2 term, in chunks of at most stack_rows rows."""
+    k, rows = theta.shape[0], stack_rows(model, X.shape[1], need_grad)
+    if k <= rows:
+        return _eval_rows(model, theta, X, y, need_grad)
+    data = np.empty(X.shape[:2])
+    grad = np.empty(theta.shape) if need_grad else None
+    for i in range(0, k, rows):
+        part = slice(i, i + rows)
+        data[part], g = _eval_rows(model, theta[part], X[part], y[part], need_grad)
+        if need_grad:
+            grad[part] = g
+    return data, grad
+
 
 def _evaluate(model: ModelSpec, params, X, y, need_grad: bool):
     theta, X, y = _check_batch(model, params, X, y)
     X, y = _duplicate_single(X, y)
-    data, grad = _EVALS[type(model)](model, theta, X, y, need_grad)
-    value = _sample_sum(data) / X.shape[1] + 0.5 * model.l2 * _rowdot(theta)
-    if grad is not None:
-        grad += model.l2 * theta
+    data, grad = _stacked_eval(model, theta, X, y, need_grad)
+    value = _halving_sum(data.swapaxes(0, 1)) / X.shape[1] + 0.5 * model.l2 * _rowdot(theta)
     return value, grad
 
 
@@ -351,6 +376,19 @@ def batch_loss(model: ModelSpec, params, X, y):
     if not np.isfinite(value[0]):
         raise ValueError("loss is non-finite.")
     return float(value[0])
+
+
+def sample_losses(model: ModelSpec, params, X, y) -> np.ndarray:
+    """Per-sample losses, each including the l2 term so they average to the batch mean.
+
+    params is a ParamVector with X (n, d), giving (n,), or a stacked (K, P)
+    matrix with X (K, n, d), giving (K, n) from one call. Unlike the
+    batch mean, a one-sample batch is evaluated as it is.
+    """
+    theta, X, y = _check_batch(model, params, X, y)
+    data, _ = _stacked_eval(model, theta, X, y, False)
+    losses = data + (0.5 * model.l2 * _rowdot(theta))[:, None]
+    return losses[0] if isinstance(params, ParamVector) else losses
 
 
 def predict(model: ModelSpec, params: ParamVector, X) -> np.ndarray:

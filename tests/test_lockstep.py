@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim import engine
+from fedsim import engine, models
 from fedsim import rng as streams
 from fedsim.data import DatasetShard, GaussianClusters, draw_round_batches, generate
 from fedsim.engine import ClientStack, ClientState, DivergenceError, ScheduleSpec, local_sgd_step
@@ -20,6 +20,7 @@ from fedsim.models import (
     build_layout,
     init_params,
     loss_and_grad,
+    stack_rows,
 )
 from fedsim.params import ParamVector
 
@@ -149,8 +150,9 @@ def test_engine_trajectory_to_first_sync_equals_local_steps(algorithm, monkeypat
         assert np.array_equal(seen[0][k], ref.params.values), k
 
 
-def test_shard_risks_equal_one_batch_loss_per_shard():
+def test_shard_risks_equal_one_batch_loss_per_shard(monkeypatch):
     # unequal sizes, a one-sample shard, and shards too large to share a stacked call
+    monkeypatch.setattr(models, "STACK_ELEMENTS", 3000)
     rng = np.random.default_rng(3)
     model = MlpSpec(input_dim=3, hidden=(4,), num_classes=3, activation="tanh", l2=0.1)
     params = ParamVector(rng.standard_normal(build_layout(model).total_params), build_layout(model))
@@ -170,3 +172,30 @@ def test_shard_risks_equal_one_batch_loss_per_shard():
         if s.n > 1:
             want_var += w * w * float(np.var(losses, ddof=1)) / s.n
     assert (total, stderr) == (want_total, float(np.sqrt(want_var)))
+
+
+def test_stack_rows_caps_the_gradient_product():
+    # a 784-256 layer: one row of 32 samples already exceeds the budget
+    assert stack_rows(MlpSpec(784, (256,), 10), 32, True) == 1
+    assert stack_rows(RidgeSpec(input_dim=4), 8, True) == models.STACK_ELEMENTS // 64
+
+
+def test_chunked_step_equals_unchunked_step(monkeypatch):
+    # a wide layer and K = 64, once in one call and once in chunks of 3 rows
+    # and a last one of 1
+    model = _model("mlp_relu", 6, 0.05, (40,), 5)
+    theta, X, y = _stack(model, 64, 5, 11)
+    correction = np.random.default_rng(12).standard_normal(theta.shape) * 0.01
+    layout = build_layout(model)
+    monkeypatch.setattr(models, "STACK_ELEMENTS", 1 << 40)
+    whole = ClientStack(theta.copy(), layout)
+    whole_losses = local_sgd_step(model, whole, X, y, 0.1, correction)
+    whole_samples = sample_losses(model, theta, X, y)
+    # a row of 5 samples: 5 * (2 * sum of widths + the 6 x 40 gradient product)
+    monkeypatch.setattr(models, "STACK_ELEMENTS", 3 * 5 * (2 * (6 + 40 + 5) + 6 * 40))
+    assert stack_rows(model, 5, True) == 3
+    chunked = ClientStack(theta.copy(), layout)
+    assert np.array_equal(local_sgd_step(model, chunked, X, y, 0.1, correction), whole_losses)
+    assert np.array_equal(chunked.params, whole.params)
+    assert np.array_equal(sample_losses(model, theta, X, y), whole_samples)
+    _assert_rows_match_single_calls(model, theta, X, y)
