@@ -31,8 +31,8 @@ RUN_OUTPUTS = ("metrics.jsonl", "summary.json")
 
 # case name -> (subcommand, extra arguments, output files); the config is
 # configs/<name>.json. Together they cover every algorithm, the ridge,
-# logistic and MLP families, every partition mode, and full, with- and
-# without-replacement participation.
+# logistic and MLP families, every partition mode, full, with- and
+# without-replacement participation, and the bound report.
 CASES = {
     "fedavg_ridge_iid": ("run", (), RUN_OUTPUTS),
     "scaffold_ridge_perclient_withrep": ("run", (), RUN_OUTPUTS),
@@ -44,6 +44,7 @@ CASES = {
     "trace_fedals_mlp": ("consensus-trace", ("--cadence", "1"), (
         "consensus.csv", "consensus_summary.json",
     )),
+    "bound_perclient_identities": ("verify-bound", ("--identities",), ("bound_report.json",)),
 }
 
 
