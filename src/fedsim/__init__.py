@@ -7,9 +7,7 @@ from .params import (  # noqa: F401
     BlockLayout,
     ParamVector,
     Role,
-    axpy,
     layout_from_sizes,
-    squared_l2,
     weighted_average,
     weighted_sum,
 )

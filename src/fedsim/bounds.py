@@ -105,27 +105,7 @@ class BoundReport:
     non_iid: list[dict]
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "lhs": self.lhs,
-            "lhs_stderr": self.lhs_stderr,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "first_term": self.first_term,
-            "cross_term": self.cross_term,
-            "mu": self.mu,
-            "L": self.L,
-            "stderr_fraction": self.stderr_fraction,
-            "max_erm_grad_norm": self.max_erm_grad_norm,
-            "trials": self.trials,
-            "num_clients": self.num_clients,
-            "n_per_client": self.n_per_client,
-            "l2": self.l2,
-            "seed": self.seed,
-            "weights": self.weights,
-            "local_gen": self.local_gen,
-            "non_iid": self.non_iid,
-        }
+        return dict(vars(self))
 
 
 def one_round_fedavg_erm(
@@ -290,15 +270,7 @@ class IdentityReport:
     checks: list[dict]
 
     def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "num_clients": self.num_clients,
-            "num_sampled": self.num_sampled,
-            "draws": self.draws,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": self.checks,
-        }
+        return dict(vars(self))
 
 
 def _row_sums(arr2d: np.ndarray) -> np.ndarray:

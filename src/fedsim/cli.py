@@ -27,15 +27,16 @@ from .bounds import verify_participation_identities, verify_theorem1
 from .config import (
     ConfigError,
     ExperimentConfig,
-    bound_config_digest,
     build_bound_trial_config,
     build_shards,
+    canonical_digest,
     load_bound_config,
     load_config,
+    parse_config,
 )
 from .data import GaussianLinear
 from .engine import DivergenceError, comm_closed_form, run_experiment
-from .metrics import accuracy, empirical_risk, population_risk_estimate
+from .metrics import accuracy, consensus_map, empirical_risk, population_risk_estimate
 from .models import RidgeSpec, build_layout
 
 WORKERS_ENV = "FEDSIM_WORKERS"
@@ -49,8 +50,16 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _execute(cfg: ExperimentConfig, seed: int, *, cadence=None, on_record=None,
-             record_round_trace=False):
+def _csv_writer(fh, prov: dict):
+    """A CSV writer on fh after the one-line provenance comment."""
+    fh.write(
+        f"# provenance config_digest={prov['config_digest']} "
+        f"seed={prov['seed']} version={prov['version']}\n"
+    )
+    return csv.writer(fh)
+
+
+def _execute(cfg: ExperimentConfig, seed: int, *, cadence=None, on_record=None):
     model = cfg.model_spec()
     shards, pop_source = build_shards(cfg, seed)
     result = run_experiment(
@@ -67,7 +76,6 @@ def _execute(cfg: ExperimentConfig, seed: int, *, cadence=None, on_record=None,
         consensus_every=cfg.cadence if cadence is None else cadence,
         risk_every_sync=cfg.risks_at_sync,
         per_client_risks=cfg.per_client_risks,
-        record_round_trace=record_round_trace,
         on_record=on_record,
     )
     return model, shards, pop_source, result
@@ -114,9 +122,7 @@ def cmd_run(args) -> int:
     summary = {"provenance": prov, "algorithm": cfg.algorithm, "seed": seed,
                "steps": result.steps, "rounds": cfg.canonical["schedule"]["rounds"]}
     summary.update(_final_metrics(cfg, model, shards, pop_source, result))
-    summary["final_consensus"] = {
-        b.name: cval for b, cval in zip(result.layout.blocks, _final_consensus(result))
-    }
+    summary["final_consensus"] = consensus_map(result.client_params)
     summary["comm"] = {
         "uploaded_per_client": [int(x) for x in result.comm.uploaded],
         "downloaded_per_client": [int(x) for x in result.comm.downloaded],
@@ -130,14 +136,6 @@ def cmd_run(args) -> int:
     print(f"run finished in {elapsed:.2f}s; outputs in {out_dir}", file=sys.stderr)
     print(f"wrote {metrics_path} and {os.path.join(out_dir, 'summary.json')}")
     return 0
-
-
-def _final_consensus(result):
-    from .metrics import consensus_distance
-
-    return [
-        consensus_distance(result.client_params, block=b.name) for b in result.layout.blocks
-    ]
 
 
 GRID_KEYS = ("alpha", "tau", "eta", "seed")
@@ -177,15 +175,11 @@ def parse_grid(spec: str) -> list[tuple[str, list]]:
 
 def _sweep_point(payload):
     """Run one grid point (all its seeds); module-level so workers can pickle it."""
-    from .config import parse_config
-
     canonical, seeds = payload
     cfg = parse_config(canonical)
     trains, tests, accs = [], [], []
     for seed in seeds:
-        model, shards, pop_source, result = _execute(
-            cfg, seed, cadence=0, record_round_trace=False
-        )
+        model, shards, pop_source, result = _execute(cfg, seed, cadence=0)
         final = _final_metrics(cfg, model, shards, pop_source, result)
         trains.append(final["final_train_risk"])
         tests.append(final["final_test_risk"])
@@ -223,8 +217,6 @@ def cmd_sweep(args) -> int:
                 canonical["schedule"][key] = overrides[key]
         seeds = [overrides["seed"]] if "seed" in overrides else list(base_seeds)
         canonical["seeds"] = seeds
-        from .config import parse_config
-
         parse_config(canonical)  # re-validate the overridden config
         points.append((overrides, canonical, seeds))
 
@@ -239,11 +231,7 @@ def cmd_sweep(args) -> int:
     sweep_path = os.path.join(out_dir, "sweep.csv")
     prov = _provenance(cfg.digest(), base_seeds[0])
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            f"# provenance config_digest={prov['config_digest']} "
-            f"seed={prov['seed']} version={prov['version']}\n"
-        )
-        writer = csv.writer(fh)
+        writer = _csv_writer(fh, prov)
         writer.writerow(
             [
                 "alpha", "tau", "eta", "seeds", "n_seeds",
@@ -304,7 +292,7 @@ def cmd_verify_bound(args) -> int:
     out_dir = args.out if args.out is not None else "fedsim_out"
     os.makedirs(out_dir, exist_ok=True)
     doc = {
-        "provenance": _provenance(bound_config_digest(canonical), canonical["seed"]),
+        "provenance": _provenance(canonical_digest(canonical), canonical["seed"]),
         "report": report.to_json_dict(),
         "identity_reports": identity_reports,
     }
@@ -351,11 +339,7 @@ def cmd_consensus_trace(args) -> int:
     block_names = [b.name for b in result.layout.blocks]
     sums = {name: 0.0 for name in block_names}
     with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            f"# provenance config_digest={prov['config_digest']} "
-            f"seed={prov['seed']} version={prov['version']}\n"
-        )
-        writer = csv.writer(fh)
+        writer = _csv_writer(fh, prov)
         writer.writerow(["round", "step", "block", "consensus"])
         for r, s, cons in rows:
             for name in block_names:

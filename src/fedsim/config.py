@@ -28,7 +28,7 @@ from .data import (
     partition_iid,
     partition_label_sorted,
 )
-from .engine import ParticipationSpec, ScheduleSpec
+from .engine import ALGORITHMS, PERIOD_ALGORITHMS, ParticipationSpec, ScheduleSpec
 from .models import LogisticL2Spec, MlpSpec, ModelSpec, RidgeSpec
 
 
@@ -110,7 +110,13 @@ def _as_float_list(v, where: str):
 MODEL_FAMILIES = ("ridge", "logistic_l2", "mlp")
 SOURCE_KINDS = ("gaussian_linear", "gaussian_clusters", "file")
 PARTITION_MODES = ("per_client", "iid", "label_sorted", "dirichlet")
-ALGORITHMS = ("fedavg", "fedals", "scaffold", "fedals_scaffold")
+LINEAR_LAW_KEYS = {"covariance", "noise_std", "coef", "client_coefs", "coef_mode", "coef_scale"}
+
+
+def canonical_digest(canonical: dict) -> str:
+    """sha256 of a canonical config dict, serialized with sorted keys."""
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -190,8 +196,7 @@ class ExperimentConfig:
         return json.dumps(self.canonical, indent=2, sort_keys=True) + "\n"
 
     def digest(self) -> str:
-        blob = json.dumps(self.canonical, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return canonical_digest(self.canonical)
 
 
 def _parse_model(m: dict) -> dict:
@@ -248,48 +253,48 @@ def _parse_covariance(v, dim: int, where: str) -> dict | str:
     raise ConfigError(f'{where} must be "identity", {{"diagonal": [...]}}, or a matrix.')
 
 
+def _parse_linear_law(doc: dict, dim: int, where: str, clients: int | None = None) -> dict:
+    """Covariance, noise and coefficients of a Gaussian linear law.
+
+    Exactly one coefficient route: a shared coef, one row per client in
+    client_coefs (clients rows when clients is given), or a coef_mode.
+    """
+    out = {
+        "covariance": _parse_covariance(
+            doc.get("covariance", "identity"), dim, f"{where}.covariance"
+        ),
+        "noise_std": _as_float(doc, "noise_std", where, default=1.0, minimum=0.0),
+    }
+    if "coef" in doc and "client_coefs" in doc:
+        raise ConfigError(f"{where}: give coef or client_coefs, not both.")
+    if "coef" in doc:
+        coef = _as_float_list(doc["coef"], f"{where}.coef")
+        if len(coef) != dim:
+            raise ConfigError(f"{where}.coef must have {dim} entries.")
+        out["coef"] = coef
+    elif "client_coefs" in doc:
+        if not isinstance(doc["client_coefs"], list) or not doc["client_coefs"]:
+            raise ConfigError(f"{where}.client_coefs must be a list of rows.")
+        rows = [_as_float_list(r, f"{where}.client_coefs row") for r in doc["client_coefs"]]
+        if any(len(r) != dim for r in rows):
+            raise ConfigError(f"{where}.client_coefs rows must have {dim} entries.")
+        if clients is not None and len(rows) != clients:
+            raise ConfigError(f"{where}.client_coefs must be {clients} rows of {dim}.")
+        out["client_coefs"] = rows
+    else:
+        out["coef_mode"] = _as_choice(
+            doc, "coef_mode", where, ("zero", "shared_random", "per_client_random"), "shared_random"
+        )
+        out["coef_scale"] = _as_float(doc, "coef_scale", where, default=1.0, minimum=0.0)
+    return out
+
+
 def _parse_source(s: dict, dim_owner: str = "data.source") -> dict:
     kind = _as_choice(s, "kind", dim_owner, SOURCE_KINDS)
     if kind == "gaussian_linear":
-        _check_keys(
-            s,
-            dim_owner,
-            {"kind", "dim"},
-            {"covariance", "noise_std", "coef", "client_coefs", "coef_mode", "coef_scale"},
-        )
+        _check_keys(s, dim_owner, {"kind", "dim"}, LINEAR_LAW_KEYS)
         dim = _as_int(s, "dim", dim_owner, minimum=1)
-        out = {
-            "kind": kind,
-            "dim": dim,
-            "covariance": _parse_covariance(
-                s.get("covariance", "identity"), dim, f"{dim_owner}.covariance"
-            ),
-            "noise_std": _as_float(s, "noise_std", dim_owner, default=1.0, minimum=0.0),
-        }
-        if "coef" in s and "client_coefs" in s:
-            raise ConfigError(f"{dim_owner}: give coef or client_coefs, not both.")
-        if "coef" in s:
-            coef = _as_float_list(s["coef"], f"{dim_owner}.coef")
-            if len(coef) != dim:
-                raise ConfigError(f"{dim_owner}.coef must have {dim} entries.")
-            out["coef"] = coef
-        elif "client_coefs" in s:
-            if not isinstance(s["client_coefs"], list) or not s["client_coefs"]:
-                raise ConfigError(f"{dim_owner}.client_coefs must be a list of rows.")
-            rows = [_as_float_list(r, f"{dim_owner}.client_coefs row") for r in s["client_coefs"]]
-            if any(len(r) != dim for r in rows):
-                raise ConfigError(f"{dim_owner}.client_coefs rows must have {dim} entries.")
-            out["client_coefs"] = rows
-        else:
-            out["coef_mode"] = _as_choice(
-                s,
-                "coef_mode",
-                dim_owner,
-                ("zero", "shared_random", "per_client_random"),
-                default="shared_random",
-            )
-            out["coef_scale"] = _as_float(s, "coef_scale", dim_owner, default=1.0, minimum=0.0)
-        return out
+        return {"kind": kind, "dim": dim, **_parse_linear_law(s, dim, dim_owner)}
     if kind == "gaussian_clusters":
         _check_keys(
             s,
@@ -404,7 +409,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "rounds": _as_int(s, "rounds", "schedule", minimum=1),
         "batch_size": _as_int(s, "batch_size", "schedule", minimum=1),
     }
-    if algorithm in ("fedavg", "scaffold") and schedule["alpha"] != 1:
+    if algorithm in PERIOD_ALGORITHMS and schedule["alpha"] != 1:
         raise ConfigError(f"schedule.alpha must be 1 for {algorithm}.")
 
     p = doc.get("participation", {"mode": "full"})
@@ -440,6 +445,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("model.num_classes must match data.source.num_classes.")
     if model["family"] == "ridge" and data["source"]["kind"] == "gaussian_clusters":
         raise ConfigError("ridge models need regression data.")
+    if model["family"] == "logistic_l2" and data["source"]["kind"] != "file":
+        raise ConfigError(
+            'model.family "logistic_l2" needs -1/+1 labels, which only a file source '
+            f'provides; data.source.kind is "{data["source"]["kind"]}".'
+        )
     if algorithm in ("fedals", "fedals_scaffold"):
         if model["family"] != "mlp":
             raise ConfigError(f"{algorithm} needs a model with representation and head blocks.")
@@ -468,7 +478,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(canonical)
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -478,7 +488,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object.")
-    return parse_config(doc)
+    return doc
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(_read_json(path))
 
 
 def _covariance_matrix(cov, dim: int) -> np.ndarray:
@@ -487,6 +501,22 @@ def _covariance_matrix(cov, dim: int) -> np.ndarray:
     if isinstance(cov, dict):
         return np.diag(np.asarray(cov["diagonal"], dtype=np.float64))
     return np.asarray(cov, dtype=np.float64)
+
+
+def _linear_law(law: dict, dim: int, clients: int, seed: int) -> GaussianLinear:
+    """The GaussianLinear of a parsed law; random coefficients come from the seed's COEF stream."""
+    gen = streams.substream(seed, streams.COEF)
+    if "coef" in law:
+        coefs = np.asarray([law["coef"]])
+    elif "client_coefs" in law:
+        coefs = np.asarray(law["client_coefs"])
+    elif law["coef_mode"] == "zero":
+        coefs = np.zeros((1, dim))
+    elif law["coef_mode"] == "shared_random":
+        coefs = law["coef_scale"] * gen.standard_normal((1, dim))
+    else:
+        coefs = law["coef_scale"] * gen.standard_normal((clients, dim))
+    return GaussianLinear(_covariance_matrix(law["covariance"], dim), coefs, law["noise_std"], seed)
 
 
 def build_generator(cfg: ExperimentConfig, seed: int):
@@ -499,21 +529,9 @@ def build_generator(cfg: ExperimentConfig, seed: int):
     src = cfg.canonical["data"]["source"]
     if src["kind"] == "file":
         return load_delimited(src["path"])
-    gen = streams.substream(seed, streams.COEF)
     if src["kind"] == "gaussian_linear":
-        dim = src["dim"]
-        cov = _covariance_matrix(src["covariance"], dim)
-        if "coef" in src:
-            coefs = np.asarray([src["coef"]])
-        elif "client_coefs" in src:
-            coefs = np.asarray(src["client_coefs"])
-        elif src["coef_mode"] == "zero":
-            coefs = np.zeros((1, dim))
-        elif src["coef_mode"] == "shared_random":
-            coefs = src["coef_scale"] * gen.standard_normal((1, dim))
-        else:
-            coefs = src["coef_scale"] * gen.standard_normal((cfg.num_clients, dim))
-        return GaussianLinear(cov, coefs, src["noise_std"], seed)
+        return _linear_law(src, src["dim"], cfg.num_clients, seed)
+    gen = streams.substream(seed, streams.COEF)
     means = src["mean_scale"] * gen.standard_normal((src["num_classes"], src["dim"]))
     cov = src["cov_scale"] * np.eye(src["dim"])
     return GaussianClusters(means, cov, seed, balanced=src["balanced"])
@@ -570,25 +588,13 @@ def _partition(X, y, part: dict, clients: int, seed: int):
     raise ConfigError(f"partition mode {part['mode']!r} needs generated data.")
 
 
-BOUND_COEF_MODES = ("zero", "shared_random", "per_client_random")
-
-
 def parse_bound_config(doc: dict) -> dict:
     """Validate a bound-verification config document; returns its canonical dict."""
     _check_keys(
         doc,
         "bound config",
         {"clients", "n_per_client", "dim", "l2", "trials", "seed"},
-        {
-            "noise_std",
-            "covariance",
-            "coef",
-            "client_coefs",
-            "coef_mode",
-            "coef_scale",
-            "weights",
-            "identities",
-        },
+        LINEAR_LAW_KEYS | {"weights", "identities"},
     )
     clients = _as_int(doc, "clients", "bound config", minimum=1)
     dim = _as_int(doc, "dim", "bound config", minimum=1)
@@ -599,30 +605,8 @@ def parse_bound_config(doc: dict) -> dict:
         "l2": _as_float(doc, "l2", "bound config", strict_min=0.0),
         "trials": _as_int(doc, "trials", "bound config", minimum=1),
         "seed": _as_int(doc, "seed", "bound config", minimum=0),
-        "noise_std": _as_float(doc, "noise_std", "bound config", default=1.0, minimum=0.0),
-        "covariance": _parse_covariance(
-            doc.get("covariance", "identity"), dim, "bound config.covariance"
-        ),
+        **_parse_linear_law(doc, dim, "bound config", clients),
     }
-    if "coef" in doc and "client_coefs" in doc:
-        raise ConfigError("bound config: give coef or client_coefs, not both.")
-    if "coef" in doc:
-        coef = _as_float_list(doc["coef"], "bound config.coef")
-        if len(coef) != dim:
-            raise ConfigError(f"bound config.coef must have {dim} entries.")
-        out["coef"] = coef
-    elif "client_coefs" in doc:
-        rows = [
-            _as_float_list(r, "bound config.client_coefs row") for r in doc["client_coefs"]
-        ]
-        if len(rows) != clients or any(len(r) != dim for r in rows):
-            raise ConfigError(f"bound config.client_coefs must be {clients} rows of {dim}.")
-        out["client_coefs"] = rows
-    else:
-        out["coef_mode"] = _as_choice(
-            doc, "coef_mode", "bound config", BOUND_COEF_MODES, default="shared_random"
-        )
-        out["coef_scale"] = _as_float(doc, "coef_scale", "bound config", default=1.0, minimum=0.0)
 
     if "weights" in doc and doc["weights"] is not None:
         w = _as_float_list(doc["weights"], "bound config.weights")
@@ -650,35 +634,13 @@ def parse_bound_config(doc: dict) -> dict:
 
 
 def load_bound_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object.")
-    return parse_bound_config(doc)
+    return parse_bound_config(_read_json(path))
 
 
 def build_bound_trial_config(canonical: dict, seed: int | None = None) -> BoundTrialConfig:
     """Turn a canonical bound config into runnable trial inputs."""
     seed = canonical["seed"] if seed is None else seed
-    dim = canonical["dim"]
-    cov = _covariance_matrix(canonical["covariance"], dim)
-    gen = streams.substream(seed, streams.COEF)
-    if "coef" in canonical:
-        coefs = np.asarray([canonical["coef"]])
-    elif "client_coefs" in canonical:
-        coefs = np.asarray(canonical["client_coefs"])
-    elif canonical["coef_mode"] == "zero":
-        coefs = np.zeros((1, dim))
-    elif canonical["coef_mode"] == "shared_random":
-        coefs = canonical["coef_scale"] * gen.standard_normal((1, dim))
-    else:
-        coefs = canonical["coef_scale"] * gen.standard_normal((canonical["clients"], dim))
-    generator = GaussianLinear(cov, coefs, canonical["noise_std"], seed)
+    generator = _linear_law(canonical, canonical["dim"], canonical["clients"], seed)
     weights = canonical["weights"]
     try:
         return BoundTrialConfig(
@@ -693,7 +655,3 @@ def build_bound_trial_config(canonical: dict, seed: int | None = None) -> BoundT
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def bound_config_digest(canonical: dict) -> str:
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -19,13 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as streams
-from .data import (
-    DatasetShard,
-    GaussianClusters,
-    GaussianLinear,
-    draw_round_batches,
-    draw_round_batches_with_replacement,
-)
+from .data import DatasetShard, draw_round_batches, draw_round_batches_with_replacement
 from .metrics import (
     MetricsRecord,
     consensus_map,
@@ -33,7 +27,7 @@ from .metrics import (
     population_risk_estimate,
     shard_risks,
 )
-from .models import ModelSpec, RidgeSpec, build_layout, init_params, loss_and_grad
+from .models import ModelSpec, build_layout, init_params, loss_and_grad
 from .params import (
     BlockLayout,
     ParamVector,
@@ -336,15 +330,11 @@ def aggregate(
 
 @dataclass
 class RunResult:
-    """Everything a run produced, enough to recompute any metric offline."""
+    """The final and per-client models, the metric records and the traffic of a run."""
 
     final_params: ParamVector
-    initial_params: ParamVector
     client_params: list[ParamVector]
-    client_controls: list[ParamVector] | None
     records: list[MetricsRecord]
-    round_params: list[ParamVector]
-    round_batches: list[list[np.ndarray]]
     comm: CommCounter
     layout: BlockLayout
     steps: int
@@ -362,28 +352,24 @@ def run_experiment(
     schedule: ScheduleSpec,
     *,
     seed: int = 0,
-    layout: BlockLayout | None = None,
     representation_layers: int = 0,
     weights: Sequence[float] | None = None,
     participation: ParticipationSpec = FULL_PARTICIPATION,
     pin_control: bool = False,
     batches_with_replacement: bool = False,
     pop_source=None,
-    pop_mc: int = 2000,
     consensus_every: int = 1,
     risk_every_sync: bool = True,
     per_client_risks: bool = False,
-    record_round_trace: bool = True,
     on_record: Callable[[int, int, MetricsRecord], None] | None = None,
 ) -> RunResult:
-    """Run one federated experiment and return its full trace.
+    """Run one federated experiment and return its models, records and traffic.
 
     The returned final model is the uniform average of the client states; when
     the last step synced every role (rounds*tau divisible by alpha*tau) this
-    equals the last broadcast bit for bit. pop_source feeds the test risk:
-    a GaussianLinear spec with a ridge model uses the exact closed form, any
-    other generator is materialized once into a held-out sample of pop_mc per
-    client, and a shard list is used as-is.
+    equals the last broadcast bit for bit. pop_source feeds the test risk
+    through population_risk_estimate: a GaussianLinear spec with a ridge model
+    (exact closed form) or a list of held-out shards.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}.")
@@ -393,8 +379,7 @@ def run_experiment(
     if num_clients < 1:
         raise ValueError("need at least one client shard.")
 
-    if layout is None:
-        layout = build_layout(model, representation_layers)
+    layout = build_layout(model, representation_layers)
     if algorithm in ("fedals", "fedals_scaffold"):
         if layout.role_size(Role.REPRESENTATION) == 0 or layout.role_size(Role.HEAD) == 0:
             raise ValueError(f"{algorithm} needs both representation and head blocks.")
@@ -430,27 +415,8 @@ def run_experiment(
     )
     c_bar = np.zeros(layout.total_params) if use_control else None
 
-    eval_shards = None
-    exact_pop = None
-    if pop_source is not None:
-        if isinstance(pop_source, GaussianLinear) and isinstance(model, RidgeSpec):
-            exact_pop = pop_source
-        elif isinstance(pop_source, (GaussianLinear, GaussianClusters)):
-            eval_shards = [
-                DatasetShard(
-                    *pop_source.sample(pop_mc, k, streams.substream(seed, streams.EVAL, k)),
-                    owner=k,
-                    provenance="holdout",
-                )
-                for k in range(num_clients)
-            ]
-        else:
-            eval_shards = list(pop_source)
-
     comm = CommCounter.zeros(num_clients)
     records: list[MetricsRecord] = []
-    round_params: list[ParamVector] = []
-    round_batches: list[list[np.ndarray]] = []
     draw = draw_round_batches_with_replacement if batches_with_replacement else draw_round_batches
     live_control = use_control and not pin_control
     step = 0
@@ -460,8 +426,6 @@ def run_experiment(
             draw(shards[k], schedule.tau, schedule.batch_size, streams.substream(seed, streams.BATCH, k, r))
             for k in range(num_clients)
         ]
-        if record_round_trace:
-            round_batches.append(batches)
         # (K, tau, b, d) and (K, tau, b): step t reads every client's batch at once
         round_X = np.stack([shards[k].X[batches[k]] for k in range(num_clients)])
         round_y = np.stack([shards[k].y[batches[k]] for k in range(num_clients)])
@@ -511,11 +475,8 @@ def run_experiment(
                 if roles_due and risk_every_sync:
                     avg = _uniform_average(clients)
                     train = empirical_risk(model, avg, shards, w)
-                    if exact_pop is not None:
-                        test, _ = population_risk_estimate(model, avg, exact_pop, w)
-                    elif eval_shards is not None:
-                        test, _ = population_risk_estimate(model, avg, eval_shards, w)
-                    if test is not None:
+                    if pop_source is not None:
+                        test, _ = population_risk_estimate(model, avg, pop_source, w)
                         gap = test - train
                     if per_client_risks:
                         pcr = shard_risks(model, avg, shards)
@@ -533,18 +494,10 @@ def run_experiment(
                 if on_record is not None:
                     on_record(r, step, rec)
 
-        if record_round_trace:
-            round_params.append(_uniform_average(clients))
-
-    final = _uniform_average(clients)
     return RunResult(
-        final_params=final,
-        initial_params=theta0,
+        final_params=_uniform_average(clients),
         client_params=clients.param_vectors,
-        client_controls=[c.control for c in clients.rows] if use_control else None,
         records=records,
-        round_params=round_params,
-        round_batches=round_batches,
         comm=comm,
         layout=layout,
         steps=step,

@@ -45,16 +45,7 @@ class MetricsRecord:
     per_client_risks: list[float] | None = None
 
     def to_row(self) -> dict:
-        return {
-            "round": self.round,
-            "step": self.step,
-            "train_risk": self.train_risk,
-            "test_risk": self.test_risk,
-            "gen_gap": self.gen_gap,
-            "consensus": self.consensus,
-            "comm_uploaded": self.comm_uploaded,
-            "per_client_risks": self.per_client_risks,
-        }
+        return dict(vars(self))
 
 
 def _stacked_shards(model: ModelSpec, shards: Sequence[DatasetShard], params: ParamVector):
@@ -180,24 +171,16 @@ def _distance(stacked: np.ndarray, center: np.ndarray, slices) -> float:
 
 
 def consensus_distance(
-    client_params: Sequence[ParamVector],
-    role_filter: Role | None = None,
-    block: str | None = None,
+    client_params: Sequence[ParamVector], role_filter: Role | None = None
 ) -> float:
     """Mean squared distance of clients to their unweighted average.
 
-    (1/K) sum_k ||mean - theta_k||^2 over the selected coordinates. The mean
-    is always uniform, matching the drift quantity the schedules control, even
-    when evaluation weights are not.
+    (1/K) sum_k ||mean - theta_k||^2 over the blocks of the given role, or all
+    blocks. The mean is always uniform, matching the drift quantity the
+    schedules control, even when evaluation weights are not.
     """
-    if role_filter is not None and block is not None:
-        raise ValueError("select by role or by block, not both.")
     layout, stacked, center = _stacked_with_center(client_params)
-    if block is not None:
-        slices = (layout.block(block).slice,)
-    else:
-        slices = layout.role_slices(role_filter)
-    return _distance(stacked, center, slices)
+    return _distance(stacked, center, layout.role_slices(role_filter))
 
 
 def consensus_map(client_params: Sequence[ParamVector]) -> dict[str, float]:

@@ -82,13 +82,6 @@ class BlockLayout:
     def role_size(self, role: Role) -> int:
         return sum(b.length for b in self.blocks if b.role == role)
 
-    def roles_present(self) -> tuple[Role, ...]:
-        seen = []
-        for b in self.blocks:
-            if b.role not in seen:
-                seen.append(b.role)
-        return tuple(seen)
-
 
 def layout_from_sizes(sizes: Sequence[tuple[str, int, Role]]) -> BlockLayout:
     """Build a layout from (name, length, role) triples laid out consecutively."""
@@ -124,9 +117,6 @@ class ParamVector:
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
-
-    def block_values(self, name: str) -> np.ndarray:
-        return self.values[self.layout.block(name).slice]
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -206,32 +196,3 @@ def weighted_sum(
             seg += wk * p.values[sl]
     _require_finite(out, "weighted sum")
     return ParamVector(out, layout)
-
-
-def axpy(
-    dst: ParamVector,
-    scale: float,
-    src: ParamVector,
-    role_filter: Role | None = None,
-) -> ParamVector:
-    """In-place dst += scale * src on the selected blocks. Returns dst."""
-    if dst.layout != src.layout:
-        raise ValueError("axpy operands do not share a layout.")
-    scale = float(scale)
-    if not np.isfinite(scale):
-        raise ValueError("scale must be finite.")
-    for sl in dst.layout.role_slices(role_filter):
-        dst.values[sl] += scale * src.values[sl]
-    _require_finite(dst.values, "axpy result")
-    return dst
-
-
-def squared_l2(v: ParamVector, role_filter: Role | None = None) -> float:
-    """Squared l2 norm over the selected blocks."""
-    total = 0.0
-    for sl in v.layout.role_slices(role_filter):
-        seg = v.values[sl]
-        total += float(np.dot(seg, seg))
-    if not np.isfinite(total):
-        raise ValueError("squared norm overflowed to non-finite.")
-    return total

@@ -159,14 +159,19 @@ def test_divergence_exits_2_naming_round_step_and_client(tmp_path, capsys):
 
 
 def test_invalid_labels_exit_1_not_2(tmp_path, capsys):
-    # binary clusters carry labels 0/1, but logistic_l2 needs -1/+1
+    # a file with labels 0/1 passes validation, but logistic_l2 needs -1/+1
+    data = tmp_path / "binary.csv"
+    X = np.random.default_rng(5).standard_normal((24, 2))
+    np.savetxt(data, np.column_stack([X, np.arange(24) % 2]), delimiter=",")
     doc = _ridge_doc()
     doc["model"] = {"family": "logistic_l2", "input_dim": 2}
-    doc["data"]["source"] = {"kind": "gaussian_clusters", "dim": 2, "num_classes": 2}
+    doc["data"]["source"] = {"kind": "file", "path": str(data)}
+    doc["data"]["partition"] = {"mode": "iid"}
     assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error: logistic labels must be -1 or +1" in err
     assert "divergence" not in err
+
 
 def test_parse_grid():
     axes = parse_grid("alpha=1,5;tau=10;eta=0.1,0.2;seed=1,2,3")

@@ -169,6 +169,15 @@ def test_model_data_cross_checks():
     doc["data"]["source"] = {"kind": "gaussian_clusters", "dim": 2, "num_classes": 3}
     with pytest.raises(ConfigError, match="regression data"):
         parse_config(doc)
+    # neither synthetic source draws the -1/+1 labels logistic_l2 needs
+    for source in (
+        {"kind": "gaussian_linear", "dim": 2},
+        {"kind": "gaussian_clusters", "dim": 2, "num_classes": 2},
+    ):
+        doc = _doc(model={"family": "logistic_l2", "input_dim": 2})
+        doc["data"]["source"] = source
+        with pytest.raises(ConfigError, match="model.family.*data.source.kind"):
+            parse_config(doc)
 
 
 def test_pooled_partition_needs_shared_law():
@@ -306,6 +315,8 @@ def test_bound_config_validation():
         parse_bound_config(doc)
     with pytest.raises(ConfigError, match="2 rows of 2"):
         parse_bound_config(dict(base, client_coefs=[[1.0, 0.0]]))
+    with pytest.raises(ConfigError, match="client_coefs must be a list"):
+        parse_bound_config(dict(base, client_coefs=5))
     with pytest.raises(ConfigError, match="unknown keys"):
         parse_bound_config(dict(base, bogus=1))
     with pytest.raises(ConfigError, match="insufficient trials"):
@@ -314,6 +325,28 @@ def test_bound_config_validation():
     assert ident["identities"] == {"num_sampled": [1, 2], "draws": 100000}
     with pytest.raises(ConfigError, match="num_sampled"):
         parse_bound_config(dict(base, identities={"num_sampled": [0]}))
+
+
+@pytest.mark.parametrize(
+    "coefs",
+    [
+        {"coef": [0.5, -1.0]},
+        {"client_coefs": [[1.0, 0.0], [0.0, 1.0], [1.0, -2.0]]},
+        {"coef_mode": "zero"},
+        {"coef_mode": "shared_random", "coef_scale": 0.7},
+        {"coef_mode": "per_client_random", "coef_scale": 1.3},
+    ],
+)
+def test_linear_law_same_as_source_and_bound_config(coefs):
+    law = {"covariance": {"diagonal": [1.0, 0.25]}, "noise_std": 0.3, **coefs}
+    doc = _doc()
+    doc["data"]["source"] = {"kind": "gaussian_linear", "dim": 2, **law}
+    from_source = build_generator(parse_config(doc), seed=6)
+    bound = {"clients": 3, "n_per_client": 20, "dim": 2, "l2": 0.5, "trials": 150, "seed": 6}
+    from_bound = build_bound_trial_config(parse_bound_config(dict(bound, **law))).generator
+    assert np.array_equal(from_source.covariance, from_bound.covariance)
+    assert np.array_equal(from_source.client_coefs, from_bound.client_coefs)
+    assert from_source.noise_std == from_bound.noise_std
 
 
 def test_copy_does_not_leak_into_canonical():

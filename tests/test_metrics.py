@@ -181,8 +181,6 @@ def test_consensus_validation():
     a = ParamVector(np.array([0.0]), lay)
     with pytest.raises(ValueError, match="at least one"):
         consensus_distance([])
-    with pytest.raises(ValueError, match="not both"):
-        consensus_distance([a, a], role_filter=Role.HEAD, block="h")
     with pytest.raises(ValueError, match="layout"):
         consensus_distance([a, ParamVector(np.array([0.0]), other)])
 

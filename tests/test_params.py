@@ -10,9 +10,7 @@ from fedsim.params import (
     BlockLayout,
     ParamVector,
     Role,
-    axpy,
     layout_from_sizes,
-    squared_l2,
     weighted_average,
     weighted_sum,
 )
@@ -137,52 +135,3 @@ def test_weighted_sum_no_sum_constraint():
     b = ParamVector(np.array([0.0, 1.0]), lay)
     out = weighted_sum([a, b], [2.0, 3.0])
     assert np.array_equal(out.values, [2.0, 3.0])
-
-
-def test_axpy_examples():
-    v = _vec([1.0, 1.0])
-    w = _vec([2.0, 4.0])
-    before = v.values.copy()
-    assert np.array_equal(axpy(v, 0.0, w).values, before)
-    z = _vec([0.0, 0.0])
-    assert np.array_equal(axpy(z, 1.0, w).values, w.values)
-    v2 = _vec([1.0, 1.0])
-    assert np.array_equal(axpy(v2, -0.5, w).values, [0.0, -1.0])
-
-
-def test_axpy_respects_role_filter():
-    lay = _layout(("phi", 2, Role.REPRESENTATION), ("h", 2, Role.HEAD))
-    dst = ParamVector(np.zeros(4), lay)
-    src = ParamVector(np.ones(4), lay)
-    axpy(dst, 2.0, src, role_filter=Role.REPRESENTATION)
-    assert np.array_equal(dst.values, [2.0, 2.0, 0.0, 0.0])
-
-
-def test_axpy_rejects_layout_mismatch():
-    a = _vec([1.0, 2.0])
-    b = ParamVector(np.array([1.0, 2.0]), _layout(("z", 2, Role.HEAD)))
-    with pytest.raises(ValueError):
-        axpy(a, 1.0, b)
-
-
-def test_squared_l2_examples():
-    assert squared_l2(_vec([0.0, 0.0, 0.0])) == 0.0
-    assert squared_l2(_vec([3.0, 4.0])) == 25.0
-
-
-def test_squared_l2_homogeneity():
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(9)
-    for c in (0.5, 2.0, -3.0):
-        got = squared_l2(_vec(c * v))
-        want = c * c * squared_l2(_vec(v))
-        assert abs(got - want) <= 1e-12 * want
-
-
-def test_squared_l2_role_additivity():
-    rng = np.random.default_rng(4)
-    lay = _layout(("phi", 5, Role.REPRESENTATION), ("h", 4, Role.HEAD))
-    v = ParamVector(rng.standard_normal(9), lay)
-    total = squared_l2(v)
-    parts = squared_l2(v, Role.REPRESENTATION) + squared_l2(v, Role.HEAD)
-    assert abs(total - parts) <= 1e-12 * total
