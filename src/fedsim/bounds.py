@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
 from . import rng as streams
 from .data import GaussianLinear
 from .metrics import sample_losses
@@ -33,7 +34,7 @@ from .models import (
     loss_and_grad,
     population_risk_closed_form,
 )
-from .params import weighted_average
+from .params import ParamVector
 
 MIN_TRIALS = 100
 
@@ -109,20 +110,33 @@ class BoundReport:
 
 
 def one_round_fedavg_erm(
-    config: BoundTrialConfig, trial: int
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list, object]:
-    """One trial's datasets, exact per-client ERMs, and their weighted average."""
-    model = RidgeSpec(config.generator.dim, config.l2)
-    layout = build_layout(model)
-    datasets = []
-    locals_ = []
-    for k in range(config.num_clients):
-        gen = streams.substream(config.seed, streams.TRIAL, trial, k)
-        x, y = config.generator.sample(config.n_per_client, k, gen)
-        datasets.append((x, y))
-        locals_.append(erm_closed_form(model, x, y, layout))
-    theta_hat = weighted_average(locals_, config.weights)
-    return datasets, locals_, theta_hat
+    config: BoundTrialConfig, trials: range
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A block of trials: datasets, exact per-client ERMs and their weighted average.
+
+    Returns X (T, K, n, d), y (T, K, n), the local ERMs (T, K, d) and the
+    aggregates (T, d) for the T trials in trials. Client k of trial t draws
+    its sample from substream(seed, TRIAL, t, k). The aggregate is
+    params.weighted_average's anchored sum, base + sum_k w_k (local_k - base)
+    in client order, so each row equals weighted_average of its trial's
+    locals bit for bit.
+    """
+    gen_spec = config.generator
+    model = RidgeSpec(gen_spec.dim, config.l2)
+    k_clients, n = config.num_clients, config.n_per_client
+    X = np.empty((len(trials), k_clients, n, gen_spec.dim))
+    y = np.empty((len(trials), k_clients, n))
+    for i, t in enumerate(trials):
+        for k in range(k_clients):
+            gen = streams.substream(config.seed, streams.TRIAL, t, k)
+            X[i, k], y[i, k] = gen_spec.sample(n, k, gen)
+    locals_ = erm_closed_form(model, X.reshape(-1, n, gen_spec.dim), y.reshape(-1, n))
+    locals_ = locals_.reshape(len(trials), k_clients, gen_spec.dim)
+    base = locals_[:, 0]
+    theta_hat = base.copy()
+    for k in range(1, k_clients):
+        theta_hat += float(config.weights[k]) * (locals_[:, k] - base)
+    return X, y, locals_, theta_hat
 
 
 def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
@@ -185,41 +199,58 @@ def verify_theorem1(config: BoundTrialConfig) -> BoundReport:
     """
     gen_spec = config.generator
     model = RidgeSpec(gen_spec.dim, config.l2)
-    k_clients = config.num_clients
+    layout = build_layout(model)
+    k_clients, n, dim = config.num_clients, config.n_per_client, gen_spec.dim
     w = config.weights
+    coefs = np.stack([gen_spec.coef_for(k) for k in range(k_clients)])
 
     lhs_samples = np.empty(config.trials)
     local_gaps = np.empty((config.trials, k_clients))
     excesses = np.empty((config.trials, k_clients))
     l_max = -np.inf
     worst_grad = 0.0
+    hessians = []  # union Hessians not yet reduced to their largest eigenvalue
 
-    for t in range(config.trials):
-        datasets, locals_, theta_hat = one_round_fedavg_erm(config, t)
-        lhs_t = 0.0
+    block = max(1, models.STACK_ELEMENTS // (k_clients * n * dim))
+    for start in range(0, config.trials, block):
+        trials = range(start, min(start + block, config.trials))
+        X, y, locals_, theta_hat = one_round_fedavg_erm(config, trials)
+        for t in range(len(trials)):
+            for k in range(k_clients):
+                # the ERM's first-order condition, checked one client at a time
+                local = ParamVector(locals_[t, k], layout)
+                grad = loss_and_grad(model, local, X[t, k], y[t, k]).grad
+                worst_grad = max(worst_grad, float(np.linalg.norm(grad.values)))
+
+        rows = len(trials) * k_clients
+        xs, ys = X.reshape(rows, n, dim), y.reshape(rows, n)
+        thetas = locals_.reshape(rows, dim)
+        aggs = np.repeat(theta_hat, k_clients, axis=0)
+        row_coefs = np.tile(coefs, (len(trials), 1))
+        emp_local = sample_losses(model, thetas, xs, ys).mean(axis=1)
+        pop_local = population_risk_closed_form(
+            model, thetas, gen_spec.covariance, row_coefs, gen_spec.noise_std
+        )
+        emp_agg = sample_losses(model, aggs, xs, ys).mean(axis=1)
+        pop_agg = population_risk_closed_form(
+            model, aggs, gen_spec.covariance, row_coefs, gen_spec.noise_std
+        )
+        emp_local, pop_local, emp_agg, pop_agg = (
+            v.reshape(len(trials), k_clients) for v in (emp_local, pop_local, emp_agg, pop_agg)
+        )
+        local_gaps[trials.start : trials.stop] = pop_local - emp_local
+        excesses[trials.start : trials.stop] = emp_agg - emp_local
+        lhs_t = np.zeros(len(trials))
         for k in range(k_clients):
-            x, y = datasets[k]
-            coef = gen_spec.coef_for(k)
-            grad_norm = float(
-                np.linalg.norm(loss_and_grad(model, locals_[k], x, y).grad.values)
-            )
-            worst_grad = max(worst_grad, grad_norm)
-            emp_local = float(np.mean(sample_losses(model, locals_[k], x, y)))
-            pop_local = population_risk_closed_form(
-                model, locals_[k], gen_spec.covariance, coef, gen_spec.noise_std
-            )
-            local_gaps[t, k] = pop_local - emp_local
-            emp_agg = float(np.mean(sample_losses(model, theta_hat, x, y)))
-            excesses[t, k] = emp_agg - emp_local
-            pop_agg = population_risk_closed_form(
-                model, theta_hat, gen_spec.covariance, coef, gen_spec.noise_std
-            )
-            lhs_t += float(w[k]) * (pop_agg - emp_agg)
-        lhs_samples[t] = lhs_t
+            lhs_t += float(w[k]) * (pop_agg[:, k] - emp_agg[:, k])
+        lhs_samples[trials.start : trials.stop] = lhs_t
 
-        union = np.vstack([d[0] for d in datasets])
-        h = union.T @ union / union.shape[0] + config.l2 * np.eye(gen_spec.dim)
-        l_max = max(l_max, float(jacobi_eigenvalues(h)[-1]))
+        union = X.reshape(len(trials), k_clients * n, dim)
+        hessians.append(union.transpose(0, 2, 1) @ union / (k_clients * n) + config.l2 * np.eye(dim))
+        if trials.stop == config.trials or sum(h.size for h in hessians) >= models.STACK_ELEMENTS:
+            ev = jacobi_eigenvalues(np.concatenate(hessians))
+            l_max = max(l_max, float(ev[:, -1].max()))
+            hessians = []
 
     mu = config.l2
     lhs, lhs_se = _mean_stderr(lhs_samples)

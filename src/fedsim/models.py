@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .params import BlockLayout, ParamVector, Role, layout_from_sizes
 
@@ -403,46 +403,72 @@ def predict(model: ModelSpec, params: ParamVector, X) -> np.ndarray:
     return np.argmax(pre[-1][0], axis=1)
 
 
+def _rotate(a: np.ndarray, p: int, q: int) -> None:
+    """One Jacobi rotation (p, q) applied in place to every matrix of a (T, n, n)."""
+    apq = a[:, p, q]
+    theta = (a[:, q, q] - a[:, p, p]) / (2.0 * apq)
+    t = np.where(theta != 0.0, np.sign(theta), 1.0)
+    t = t / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    c, s = c[:, None], s[:, None]
+    rp, rq = a[:, p, :].copy(), a[:, q, :].copy()
+    a[:, p, :] = c * rp - s * rq
+    a[:, q, :] = s * rp + c * rq
+    cp, cq = a[:, :, p].copy(), a[:, :, q].copy()
+    a[:, :, p] = c * cp - s * cq
+    a[:, :, q] = s * cp + c * cq
+
+
 def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending.
+
+    a is one (n, n) matrix, giving (n,), or a stack (T, n, n), giving (T, n).
+    A stack is swept in one pass: each rotation (p, q) is applied at once to
+    every matrix that has not converged, with the single matrix's element-wise
+    arithmetic, and a matrix leaves the pass when its own off-diagonal norm
+    is small enough. So row t equals the single call on a[t] bit for bit.
 
     Self-contained on purpose: the exact curvature constants flow into bound
     verification, so they are computed by a route independent of the library
     eigensolver the tests use as an oracle.
     """
     a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square.")
-    if not np.allclose(a, a.T, atol=1e-10 * max(1.0, float(np.abs(a).max()))):
+    at = a.transpose(0, 2, 1)
+    atol = 1e-10 * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    if not np.isclose(a, at, atol=atol[:, None, None]).all():
         raise ValueError("matrix must be symmetric.")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy()
-    scale = max(1.0, float(np.abs(np.diag(a)).max()))
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0.0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    else:
-        raise RuntimeError("Jacobi sweep limit reached without convergence.")
-    return np.sort(np.diag(a).copy())
+    a = 0.5 * (a + at)
+    n = a.shape[1]
+    out = np.diagonal(a, axis1=1, axis2=2).copy()
+    if n > 1:
+        scale = np.maximum(1.0, np.abs(out).max(axis=1))
+        rows = np.arange(a.shape[0])  # the matrices still being rotated
+        for _ in range(max_sweeps):
+            off = np.sqrt(2.0 * (np.triu(a, 1) ** 2).reshape(rows.size, n * n).sum(axis=1))
+            done = off <= tol * scale
+            out[rows[done]] = np.diagonal(a[done], axis1=1, axis2=2)
+            a, scale, rows = a[~done], scale[~done], rows[~done]
+            if rows.size == 0:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    live = np.abs(a[:, p, q]) > 1e-300
+                    if live.all():
+                        _rotate(a, p, q)
+                    elif live.any():
+                        part = a[live]
+                        _rotate(part, p, q)
+                        a[live] = part
+        else:
+            raise RuntimeError("Jacobi sweep limit reached without convergence.")
+        out.sort(axis=1)
+    return out[0] if single else out
 
 
 def mu_L_exact(model: RidgeSpec, X) -> tuple[float, float]:
@@ -461,49 +487,66 @@ def mu_L_exact(model: RidgeSpec, X) -> tuple[float, float]:
     return float(ev[0]), float(ev[-1])
 
 
-def erm_closed_form(model: RidgeSpec, X, y, layout: BlockLayout | None = None) -> ParamVector:
+def erm_closed_form(model: RidgeSpec, X, y, layout: BlockLayout | None = None):
     """Exact minimizer of the ridge empirical risk on (X, y).
 
     Solves ((1/n) X^T X + l2*I) theta = (1/n) X^T y by Cholesky. Requires a
-    positive-definite system (always true for l2 > 0).
+    positive-definite system (always true for l2 > 0). X (n, d) and y (n,)
+    give a ParamVector; a stack X (N, n, d), y (N, n) gives the (N, d)
+    minimizers, row i equal to the single call on (X[i], y[i]) bit for bit:
+    the systems are built by stacked matmuls and each is solved by the LAPACK
+    routines behind scipy's cho_factor/cho_solve.
     """
     if not isinstance(model, RidgeSpec):
         raise ValueError("closed-form ERM is defined for ridge only.")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0 or y.shape != (X.shape[0],):
+    single = X.ndim == 2
+    if single:
+        X, y = X[None], y[None]
+    if X.ndim != 3 or X.shape[1] == 0 or X.shape[2] != model.input_dim or y.shape != X.shape[:2]:
         raise ValueError("need non-empty X with matching y.")
-    n = X.shape[0]
-    h = X.T @ X / n + model.l2 * np.eye(model.input_dim)
-    b = X.T @ y / n
-    try:
-        theta = cho_solve(cho_factor(h), b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("ERM system is singular; needs l2 > 0 or full-rank data.") from exc
-    if layout is None:
-        layout = build_layout(model)
-    return ParamVector(theta, layout)
+    n = X.shape[1]
+    xt = X.transpose(0, 2, 1)
+    h = xt @ X / n + model.l2 * np.eye(model.input_dim)
+    b = (xt @ y[:, :, None])[:, :, 0] / n
+    if not (np.isfinite(h).all() and np.isfinite(b).all()):
+        raise ValueError("ERM system contains infs or NaNs.")
+    theta = np.empty(b.shape)
+    for i in range(theta.shape[0]):
+        # info < 0 would flag an invalid argument, which the checks above rule out
+        c, info = dpotrf(h[i], lower=0, clean=0)
+        if info > 0:
+            raise ValueError("ERM system is singular; needs l2 > 0 or full-rank data.")
+        theta[i] = dpotrs(c, b[i], lower=0)[0]
+    if not np.isfinite(theta).all():
+        raise ValueError("ERM solution contains non-finite entries.")
+    if not single:
+        return theta
+    return ParamVector(theta[0], layout if layout is not None else build_layout(model))
 
 
 def population_risk_closed_form(
     model: RidgeSpec,
-    params: ParamVector,
+    params,
     covariance: np.ndarray,
     true_coef: np.ndarray,
     noise_std: float,
-) -> float:
+):
     """Exact population risk of ridge under x ~ N(0, Sigma), y = x.coef + noise.
 
     Expands to 0.5*(theta-coef)^T Sigma (theta-coef) + 0.5*noise^2
-    + (l2/2)*||theta||^2.
+    + (l2/2)*||theta||^2. params is a ParamVector, giving a float, or a
+    (N, d) matrix with true_coef (d,) or one row per parameter row, giving
+    (N,). The quadratic forms are stacked (1, d) @ (d, d) @ (d, 1) matmuls,
+    one BLAS call per row as in the single call.
     """
     if not isinstance(model, RidgeSpec):
         raise ValueError("closed-form population risk is defined for ridge only.")
-    theta = params.values
+    single = isinstance(params, ParamVector)
+    theta = params.values[None] if single else np.asarray(params, dtype=np.float64)
     d = theta - np.asarray(true_coef, dtype=np.float64)
     sigma = np.asarray(covariance, dtype=np.float64)
-    return (
-        0.5 * float(d @ sigma @ d)
-        + 0.5 * float(noise_std) ** 2
-        + 0.5 * model.l2 * float(np.dot(theta, theta))
-    )
+    quad = np.matmul(np.matmul(d[:, None, :], sigma), d[:, :, None])[:, 0, 0]
+    risk = 0.5 * quad + 0.5 * float(noise_std) ** 2 + 0.5 * model.l2 * _rowdot(theta)
+    return float(risk[0]) if single else risk

@@ -12,8 +12,20 @@ from fedsim.bounds import (
     verify_participation_identities,
     verify_theorem1,
 )
+from fedsim import models
+from fedsim import rng as streams
+from fedsim.bounds import _mean_stderr
 from fedsim.data import GaussianLinear
-from fedsim.params import weighted_average
+from fedsim.metrics import sample_losses
+from fedsim.models import (
+    RidgeSpec,
+    build_layout,
+    erm_closed_form,
+    jacobi_eigenvalues,
+    loss_and_grad,
+    population_risk_closed_form,
+)
+from fedsim.params import ParamVector, weighted_average
 
 
 def _generator(dim=2, num_clients=3, spread=0.0, noise=0.5, seed=0):
@@ -32,20 +44,37 @@ def _config(**kw):
 
 def test_one_round_deterministic_and_aggregated():
     cfg = _config()
-    data_a, locals_a, theta_a = one_round_fedavg_erm(cfg, trial=4)
-    data_b, locals_b, theta_b = one_round_fedavg_erm(cfg, trial=4)
-    assert np.array_equal(theta_a.values, theta_b.values)
-    assert all(np.array_equal(xa, xb) for (xa, _), (xb, _) in zip(data_a, data_b))
-    _, _, theta_c = one_round_fedavg_erm(cfg, trial=5)
-    assert not np.array_equal(theta_a.values, theta_c.values)
-    redo = weighted_average(locals_a, cfg.weights)
-    assert np.array_equal(theta_a.values, redo.values)
+    data_a, _, locals_a, theta_a = one_round_fedavg_erm(cfg, range(4, 5))
+    data_b, _, locals_b, theta_b = one_round_fedavg_erm(cfg, range(4, 5))
+    assert np.array_equal(theta_a, theta_b)
+    assert np.array_equal(data_a, data_b)
+    _, _, _, theta_c = one_round_fedavg_erm(cfg, range(5, 6))
+    assert not np.array_equal(theta_a, theta_c)
+    layout = build_layout(RidgeSpec(2, cfg.l2))
+    redo = weighted_average([ParamVector(v, layout) for v in locals_a[0]], cfg.weights)
+    assert np.array_equal(theta_a[0], redo.values)
 
 
 def test_one_round_single_client_returns_local():
     cfg = _config(generator=_generator(num_clients=1), num_clients=1)
-    _, locals_, theta_hat = one_round_fedavg_erm(cfg, trial=0)
-    assert np.array_equal(theta_hat.values, locals_[0].values)
+    _, _, locals_, theta_hat = one_round_fedavg_erm(cfg, range(0, 1))
+    assert np.array_equal(theta_hat[0], locals_[0, 0])
+
+
+def test_one_round_block_rows_equal_single_trials():
+    # one block of trials equals one call per trial, and its aggregates equal
+    # weighted_average of each trial's locals, with non-uniform weights
+    cfg = _config(generator=_generator(spread=0.4), weights=np.array([0.5, 0.3, 0.2]))
+    X, y, locals_, theta_hat = one_round_fedavg_erm(cfg, range(3, 10))
+    assert X.shape == (7, 3, 30, 2) and y.shape == (7, 3, 30)
+    assert locals_.shape == (7, 3, 2) and theta_hat.shape == (7, 2)
+    layout = build_layout(RidgeSpec(2, cfg.l2))
+    for i, t in enumerate(range(3, 10)):
+        parts = one_round_fedavg_erm(cfg, range(t, t + 1))
+        for block_part, trial_part in zip((X, y, locals_, theta_hat), parts):
+            assert np.array_equal(block_part[i], trial_part[0])
+        redo = weighted_average([ParamVector(v, layout) for v in locals_[i]], cfg.weights)
+        assert np.array_equal(theta_hat[i], redo.values)
 
 
 def test_sum_weight_cubes():
@@ -110,6 +139,67 @@ def test_verify_theorem1_small_run():
     }
     assert len(d["local_gen"]) == 3 and len(d["non_iid"]) == 3
     assert d["rhs"] == pytest.approx(d["first_term"] + d["cross_term"], rel=1e-12)
+
+
+def _per_trial_reference(cfg):
+    """verify_theorem1's trial loop one trial at a time, on the single forms.
+
+    Returns the per-trial lhs, the per-client gaps and excesses, L and the
+    largest ERM gradient norm.
+    """
+    spec = cfg.generator
+    model = RidgeSpec(spec.dim, cfg.l2)
+    lhs = np.empty(cfg.trials)
+    gaps = np.empty((cfg.trials, cfg.num_clients))
+    excs = np.empty((cfg.trials, cfg.num_clients))
+    l_max, worst = -np.inf, 0.0
+    for t in range(cfg.trials):
+        data = []
+        for k in range(cfg.num_clients):
+            gen = streams.substream(cfg.seed, streams.TRIAL, t, k)
+            data.append(spec.sample(cfg.n_per_client, k, gen))
+        locals_ = [erm_closed_form(model, x, y) for x, y in data]
+        theta_hat = weighted_average(locals_, cfg.weights)
+        lhs_t = 0.0
+        for k, ((x, y), local) in enumerate(zip(data, locals_)):
+            law = (spec.covariance, spec.coef_for(k), spec.noise_std)
+            worst = max(worst, float(np.linalg.norm(loss_and_grad(model, local, x, y).grad.values)))
+            emp_local = float(np.mean(sample_losses(model, local, x, y)))
+            emp_agg = float(np.mean(sample_losses(model, theta_hat, x, y)))
+            gaps[t, k] = population_risk_closed_form(model, local, *law) - emp_local
+            excs[t, k] = emp_agg - emp_local
+            lhs_t += float(cfg.weights[k]) * (
+                population_risk_closed_form(model, theta_hat, *law) - emp_agg
+            )
+        lhs[t] = lhs_t
+        union = np.vstack([x for x, _ in data])
+        h = union.T @ union / union.shape[0] + cfg.l2 * np.eye(spec.dim)
+        l_max = max(l_max, float(jacobi_eigenvalues(h)[-1]))
+    return lhs, gaps, excs, l_max, worst
+
+
+def test_verify_theorem1_equals_per_trial_reference():
+    cfg = _config(generator=_generator(spread=0.4), weights=np.array([0.5, 0.3, 0.2]))
+    report = verify_theorem1(cfg)
+    lhs, gaps, excs, l_max, worst = _per_trial_reference(cfg)
+    assert (report.lhs, report.lhs_stderr) == _mean_stderr(lhs)
+    assert report.L == l_max and report.max_erm_grad_norm == worst
+    for k in range(3):
+        mean, se = _mean_stderr(gaps[:, k])
+        assert report.local_gen[k] == {"client": k, "mean": mean, "stderr": se}
+        mean, se = _mean_stderr(excs[:, k])
+        assert report.non_iid[k] == {"client": k, "mean": mean, "stderr": se}
+
+
+def test_verify_theorem1_independent_of_block_size(monkeypatch):
+    # 3 clients x 30 samples x dim 2 = 180 values per trial: blocks of 1, of
+    # 7 (120 = 17 * 7 + 1, a ragged last block) and of all 120 trials
+    cfg = _config(generator=_generator(spread=0.4), weights=np.array([0.5, 0.3, 0.2]))
+    reports = []
+    for trials_per_block in (1, 7, 120):
+        monkeypatch.setattr(models, "STACK_ELEMENTS", trials_per_block * 180)
+        reports.append(verify_theorem1(cfg).to_json_dict())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_verify_theorem1_config_validation():

@@ -4,6 +4,7 @@ per-client local_sgd_step calls."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -199,3 +200,143 @@ def test_chunked_step_equals_unchunked_step(monkeypatch):
     assert np.array_equal(chunked.params, whole.params)
     assert np.array_equal(sample_losses(model, theta, X, y), whole_samples)
     _assert_rows_match_single_calls(model, theta, X, y)
+
+
+# The ridge closed forms: a stacked call must equal N single calls bit for bit,
+# and both must equal the single-matrix routines they replaced, kept here as
+# references.
+
+
+def _jacobi_reference(a, tol=1e-13, max_sweeps=60):
+    """Cyclic Jacobi on one symmetric matrix, one scalar rotation at a time."""
+    a = 0.5 * (a + a.T)
+    n = a.shape[0]
+    if n == 1:
+        return a[0].copy()
+    scale = max(1.0, float(np.abs(np.diag(a)).max()))
+    for _ in range(max_sweeps):
+        if float(np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))) <= tol * scale:
+            return np.sort(np.diag(a).copy())
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) if theta != 0.0 else 1.0
+                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :], a[q, :] = c * rp - s * rq, s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p], a[:, q] = c * cp - s * cq, s * cp + c * cq
+    raise RuntimeError("no convergence")
+
+
+def _erm_reference(model, X, y):
+    h = X.T @ X / X.shape[0] + model.l2 * np.eye(model.input_dim)
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(h), X.T @ y / X.shape[0])
+
+
+def _risk_reference(model, theta, cov, coef, noise):
+    d = theta - coef
+    return 0.5 * float(d @ cov @ d) + 0.5 * noise**2 + 0.5 * model.l2 * float(np.dot(theta, theta))
+
+
+def _symmetric_stack(rng, n, dim):
+    """Matrices that converge after different numbers of sweeps: dense ones of
+    mixed scale, diagonal ones (no sweep), block-diagonal ones (whose zero
+    entries skip their rotations) and nearly diagonal ones."""
+    out = []
+    for _ in range(n):
+        a = rng.standard_normal((dim, dim)) * 10.0 ** rng.integers(-3, 4)
+        a = a + a.T
+        kind = rng.integers(4)
+        if kind == 1:
+            a = np.diag(np.diag(a))
+        elif kind == 2:
+            a[: dim // 2, dim // 2 :] = 0.0
+            a[dim // 2 :, : dim // 2] = 0.0
+        elif kind == 3:
+            a = np.diag(np.diag(a)) + 1e-9 * (a - np.diag(np.diag(a)))
+        out.append(a)
+    return np.stack(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_stacked_jacobi_equals_single_calls(n, dim, seed):
+    a = _symmetric_stack(np.random.default_rng(seed), n, dim)
+    stacked = models.jacobi_eigenvalues(a)
+    assert stacked.shape == (n, dim)
+    for i in range(n):
+        single = models.jacobi_eigenvalues(a[i])
+        assert np.array_equal(stacked[i], single)
+        assert np.array_equal(single, _jacobi_reference(a[i].copy()))
+
+
+def test_stacked_jacobi_rows_converge_independently():
+    rng = np.random.default_rng(5)
+    dense = rng.standard_normal((5, 5))
+    dense = dense + dense.T
+    skips = dense.copy()  # its first rotation (0, 1) has a zero pivot and is skipped
+    skips[0, 1] = skips[1, 0] = 0.0
+    skips[1, 1] = skips[0, 0]
+    a = np.stack([np.diag([3.0, 1.0, 2.0, 0.0, -1.0]), dense, np.eye(5) * 2.0, skips])
+    stacked = models.jacobi_eigenvalues(a)
+    assert np.array_equal(stacked[0], [-1.0, 0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(stacked[2], np.full(5, 2.0))
+    assert np.array_equal(stacked[1], _jacobi_reference(a[1].copy()))
+    assert np.array_equal(stacked[3], _jacobi_reference(a[3].copy()))
+    assert np.array_equal(models.jacobi_eigenvalues(np.full((4, 1, 1), 7.0)), np.full((4, 1), 7.0))
+
+
+def test_stacked_jacobi_rejects_one_asymmetric_member():
+    a = _symmetric_stack(np.random.default_rng(6), 4, 3)
+    a[2, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
+        models.jacobi_eigenvalues(a[2])
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
+        models.jacobi_eigenvalues(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    dim=st.integers(1, 6),
+    samples=st.integers(1, 12),
+    l2=st.sampled_from([0.05, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_ridge_closed_forms_equal_single_calls(n, dim, samples, l2, seed):
+    rng = np.random.default_rng(seed)
+    model = RidgeSpec(input_dim=dim, l2=l2)
+    X = rng.standard_normal((n, samples, dim)) * rng.uniform(0.1, 3.0)
+    y = rng.standard_normal((n, samples))
+    cov = rng.standard_normal((dim, dim))
+    cov = cov @ cov.T
+    coefs = rng.standard_normal((n, dim))
+    thetas = models.erm_closed_form(model, X, y)
+    risks = models.population_risk_closed_form(model, thetas, cov, coefs, 0.3)
+    assert thetas.shape == (n, dim) and risks.shape == (n,)
+    for i in range(n):
+        single = models.erm_closed_form(model, X[i], y[i])
+        assert np.array_equal(thetas[i], single.values)
+        assert np.array_equal(thetas[i], _erm_reference(model, X[i], y[i]))
+        risk = models.population_risk_closed_form(model, single, cov, coefs[i], 0.3)
+        assert risks[i] == risk == _risk_reference(model, thetas[i], cov, coefs[i], 0.3)
+
+
+def test_stacked_erm_rejects_a_singular_or_non_finite_member():
+    model = RidgeSpec(input_dim=2, l2=0.0)
+    X = np.random.default_rng(7).standard_normal((3, 4, 2))
+    X[1, :, 1] = 0.0  # rank deficient without regularization
+    y = np.ones((3, 4))
+    with pytest.raises(ValueError, match="ERM system is singular"):
+        models.erm_closed_form(model, X[1], y[1])
+    with pytest.raises(ValueError, match="ERM system is singular"):
+        models.erm_closed_form(model, X, y)
+    y[2, 0] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        models.erm_closed_form(RidgeSpec(input_dim=2, l2=0.5), X, y)
