@@ -284,7 +284,8 @@ def cmd_verify_bound(args) -> int:
                 if scheme == "without_replacement" and khat > canonical["clients"]:
                     continue
                 rep = verify_participation_identities(
-                    canonical["clients"], khat, scheme, ident["draws"], canonical["seed"]
+                    canonical["clients"], khat, scheme, ident["draws"], canonical["seed"],
+                    weights=trial_cfg.weights,
                 )
                 identity_reports.append(rep.to_json_dict())
                 all_passed = all_passed and rep.passed

@@ -287,6 +287,22 @@ def test_verify_bound_identities_appended(tmp_path, capsys):
     assert sum(line.startswith("identities ") for line in lines) == 4
 
 
+def test_verify_bound_identities_use_the_config_weights(tmp_path):
+    # x = (1, 2, 3): with weights (0.5, 0.3, 0.2) the mean identity's target
+    # is sum_k w_k x_k = 1.7; uniform weights would give 2.0
+    cfg = _write(
+        tmp_path,
+        _bound_doc(weights=[0.5, 0.3, 0.2], identities={"num_sampled": [2], "draws": 5000}),
+    )
+    out = tmp_path / "out"
+    assert main(["verify-bound", cfg, "--identities", "--out", str(out)]) == 0
+    reports = json.loads((out / "bound_report.json").read_text())["identity_reports"]
+    with_rep = next(r for r in reports if r["scheme"] == "with_replacement")
+    assert with_rep["checks"][0]["identity"] == "mean"
+    assert with_rep["checks"][0]["analytic"] == pytest.approx(1.7, rel=1e-15)
+    assert all(r["passed"] for r in reports)
+
+
 def test_verify_bound_insufficient_trials(tmp_path, capsys):
     cfg = _write(tmp_path, _bound_doc(trials=10))
     assert main(["verify-bound", cfg, "--out", str(tmp_path / "o")]) == 1
