@@ -235,9 +235,10 @@ def test_sample_participants_unbiased_mean():
     x = np.arange(1.0, 7.0)
     base = np.array([0.3, 0.2, 0.2, 0.1, 0.1, 0.1])
     target = float(base @ x)
-    for mode, khat in (("with_replacement", 3), ("without_replacement", 4)):
+    # each mode's stream is keyed by its position here: hash(mode) is salted per process
+    for key, (mode, khat) in enumerate((("with_replacement", 3), ("without_replacement", 4))):
         spec = ParticipationSpec(mode, khat)
-        gen = streams.substream(77, 5, hash(mode) % 1000)
+        gen = streams.substream(77, 5, key)
         vals = np.empty(20000)
         for i in range(vals.shape[0]):
             idx, agg = sample_participants(spec, 6, base, gen)
