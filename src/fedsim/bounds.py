@@ -246,7 +246,8 @@ def verify_theorem1(config: BoundTrialConfig) -> BoundReport:
         lhs_samples[trials.start : trials.stop] = lhs_t
 
         union = X.reshape(len(trials), k_clients * n, dim)
-        hessians.append(union.transpose(0, 2, 1) @ union / (k_clients * n) + config.l2 * np.eye(dim))
+        h = union.transpose(0, 2, 1) @ union / (k_clients * n) + config.l2 * np.eye(dim)
+        hessians.append(h)
         if trials.stop == config.trials or sum(h.size for h in hessians) >= models.STACK_ELEMENTS:
             ev = jacobi_eigenvalues(np.concatenate(hessians))
             l_max = max(l_max, float(ev[:, -1].max()))
