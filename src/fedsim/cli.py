@@ -34,7 +34,6 @@ from .config import (
     load_config,
     parse_config,
 )
-from .data import GaussianLinear
 from .engine import DivergenceError, comm_closed_form, run_experiment
 from .metrics import accuracy, consensus_map, empirical_risk, population_risk_estimate
 from .models import RidgeSpec, build_layout
@@ -87,7 +86,7 @@ def _final_metrics(cfg, model, shards, pop_source, result) -> dict:
     test = acc = None
     if pop_source is not None:
         test, _ = population_risk_estimate(model, result.final_params, pop_source, w)
-        if not isinstance(model, RidgeSpec) and not isinstance(pop_source, GaussianLinear):
+        if not isinstance(model, RidgeSpec):  # a GaussianLinear source serves ridge only
             xs = np.vstack([s.X for s in pop_source])
             ys = np.concatenate([s.y for s in pop_source])
             acc = accuracy(model, result.final_params, xs, ys)
@@ -179,7 +178,11 @@ def _sweep_point(payload):
     cfg = parse_config(canonical)
     trains, tests, accs = [], [], []
     for seed in seeds:
-        model, shards, pop_source, result = _execute(cfg, seed, cadence=0)
+        try:
+            model, shards, pop_source, result = _execute(cfg, seed, cadence=0)
+        except DivergenceError as exc:
+            point = "alpha={alpha} tau={tau} eta={eta!r}".format(**canonical["schedule"])
+            raise DivergenceError(f"{point} seed={seed}: {exc}", exc.client) from exc
         final = _final_metrics(cfg, model, shards, pop_source, result)
         trains.append(final["final_train_risk"])
         tests.append(final["final_test_risk"])

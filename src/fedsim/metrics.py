@@ -1,9 +1,9 @@
 """Risk, consensus, and heterogeneity measurements.
 
 Everything here is a pure function of model parameters and data, so records
-can be recomputed offline from a run's inputs. Population risk has three
-routes: exact closed form (ridge on Gaussian linear data), fresh-sample Monte
-Carlo with a standard error, or a held-out sample.
+can be recomputed offline from a run's inputs. Population risk has two
+routes: exact closed form (ridge on Gaussian linear data) or a held-out
+sample with a standard error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import DatasetShard, GaussianClusters, GaussianLinear, GeneratorSpec
+from .data import DatasetShard, GaussianLinear
 from .models import (
     ModelSpec,
     RidgeSpec,
@@ -104,37 +104,23 @@ def population_risk_estimate(
     params: ParamVector,
     source,
     weights: Sequence[float],
-    *,
-    n_mc: int = 0,
-    gen: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Client-weighted population risk with a standard error.
 
     source selects the route:
       - GaussianLinear with a ridge model: exact closed form, stderr 0;
-      - any GeneratorSpec otherwise: fresh-sample Monte Carlo (needs n_mc and
-        a generator for the draws);
       - a sequence of DatasetShard: held-out estimate.
     """
     weights = [float(w) for w in weights]
-    if isinstance(source, GaussianLinear) and isinstance(model, RidgeSpec):
+    if isinstance(source, GaussianLinear):
+        if not isinstance(model, RidgeSpec):
+            raise ValueError("a GaussianLinear source has a closed-form risk for ridge only.")
         total = 0.0
         for k, w in enumerate(weights):
             total += w * population_risk_closed_form(
                 model, params, source.covariance, source.coef_for(k), source.noise_std
             )
         return total, 0.0
-    if isinstance(source, (GaussianLinear, GaussianClusters)):
-        if n_mc < 2 or gen is None:
-            raise ValueError("Monte Carlo route needs n_mc >= 2 and a generator.")
-        total = 0.0
-        var = 0.0
-        for k, w in enumerate(weights):
-            x, y = source.sample(n_mc, k, gen)
-            losses = sample_losses(model, params, x, y)
-            total += w * float(np.mean(losses))
-            var += w * w * float(np.var(losses, ddof=1)) / n_mc
-        return total, float(np.sqrt(var))
     shards = list(source)
     if len(shards) != len(weights):
         raise ValueError("one weight per holdout shard required.")

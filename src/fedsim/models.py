@@ -11,6 +11,7 @@ so it appears exactly once in a batch-averaged loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -172,6 +173,29 @@ def _duplicate_single(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     return X, y
 
 
+# Sums of at least this many rows run the cached plan of the halving tree; under
+# 8 rows, as in minibatch gradient sums, the plan's gather costs more than it saves.
+PLAN_MIN_ROWS = 32
+
+
+@lru_cache(maxsize=None)
+def _halving_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Summand rows and pad slots of the n-row halving tree at depth D, 2^D < n <= 2^(D+1).
+
+    The recursion's split of [lo, hi) at (lo + hi) // 2 gives every node at depth d
+    floor(n / 2^d) rows or one more, so the tree is perfect above depth D, and its
+    2^D nodes there are pairs or single rows. rows lists them left to right, a single
+    row twice; pads marks each second copy, which the sum sets to -0.0 (x + -0.0 is x).
+    """
+    nodes = [(0, n)]
+    for _ in range((n - 1).bit_length() - 1):
+        nodes = [half for lo, hi in nodes for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))]
+    rows = np.array([(lo, hi - 1) for lo, hi in nodes], dtype=np.intp).ravel()
+    pads = 2 * np.flatnonzero(rows[0::2] == rows[1::2]) + 1
+    rows.flags.writeable = pads.flags.writeable = False  # shared through the cache
+    return rows, pads
+
+
 def _halving_sum(a: np.ndarray):
     """Sum over axis 0 by recursive halving: S(A) = S(A[:n//2]) + S(A[n//2:]).
 
@@ -181,13 +205,22 @@ def _halving_sum(a: np.ndarray):
     (K, b, ...) array is summed over its sample axis as a.swapaxes(0, 1):
     every addition is element by element, so each client row gets the bits of
     its own single-client sum. Up to 3 rows are summed inline, in the
-    recursion's order, which saves most of the Python calls.
+    recursion's order, which saves most of the Python calls. From
+    PLAN_MIN_ROWS rows on, the same tree runs from its cached plan: one gather,
+    then one addition of even and odd rows per level, about log2(n) calls.
     """
     n = a.shape[0]
     if n <= 3:
         return a[0] if n == 1 else a[0] + a[1] if n == 2 else a[0] + (a[1] + a[2])
-    h = n // 2
-    return _halving_sum(a[:h]) + _halving_sum(a[h:])
+    if n < PLAN_MIN_ROWS:
+        h = n // 2
+        return _halving_sum(a[:h]) + _halving_sum(a[h:])
+    rows, pads = _halving_plan(n)
+    level = a[rows]
+    level[pads] = -0.0
+    while level.shape[0] > 1:
+        level = level[0::2] + level[1::2]
+    return level[0]
 
 
 def _matvec(X: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -236,6 +236,19 @@ def test_sweep_worker_count_never_changes_results(tmp_path, monkeypatch):
     assert (seq / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_divergence_names_the_grid_point(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("FEDSIM_WORKERS", workers)
+    doc = _ridge_doc()
+    doc["schedule"]["rounds"] = 30
+    cfg = _write(tmp_path, doc)
+    assert main(["sweep", cfg, "--grid", "eta=0.02,500", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(
+        r"divergence: alpha=1 tau=2 eta=500\.0 seed=3: round \d+ step \d+ client \d+: ", err
+    ), err
+
+
 def test_sweep_rejects_invalid_grid_point(tmp_path):
     cfg = _write(tmp_path, _ridge_doc())  # fedavg: alpha must stay 1
     assert main(["sweep", cfg, "--grid", "alpha=1,5", "--out", str(tmp_path / "o")]) == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedsim.data import DatasetShard, GaussianClusters, GaussianLinear, generate
+from fedsim.data import DatasetShard, GaussianLinear, generate
 from fedsim.metrics import (
     accuracy,
     consensus_distance,
@@ -117,26 +117,12 @@ def test_population_risk_exact_noise_floor():
     assert got == pytest.approx(0.5 * 0.7**2, rel=1e-14)
 
 
-def test_population_risk_mc_route_agrees_with_hand_value():
-    # ridge on a 2-class mixture: E = 0.5 * avg_c [theta'C theta + (m_c'theta - c)^2]
-    spec = GaussianClusters(
-        class_means=np.array([[0.0, 0.0], [1.0, 0.0]]), class_cov=0.25 * np.eye(2), seed=0
-    )
-    model = RidgeSpec(input_dim=2, l2=0.0)
-    params = ParamVector(np.array([0.8, -0.4]), build_layout(model))
-    mc, se = population_risk_estimate(
-        model, params, spec, [1.0], n_mc=40000, gen=np.random.default_rng(6)
-    )
-    assert se > 0.0
-    assert abs(mc - 0.11) <= 4 * se
-
-
-def test_population_risk_mc_needs_generator():
+def test_population_risk_linear_source_needs_ridge():
     spec, _ = _linear_shards()
-    model = LogisticL2Spec(input_dim=3, l2=0.1)  # no closed form, so the MC route is taken
+    model = LogisticL2Spec(input_dim=3, l2=0.1)  # no closed form and no holdout
     params = ParamVector(np.zeros(3), build_layout(model))
-    with pytest.raises(ValueError, match="Monte Carlo"):
-        population_risk_estimate(model, params, spec, [1.0, 0.0, 0.0], n_mc=0)
+    with pytest.raises(ValueError, match="ridge only"):
+        population_risk_estimate(model, params, spec, [1.0, 0.0, 0.0])
 
 
 def test_population_risk_holdout_route():

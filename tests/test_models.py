@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedsim import models
 from fedsim.models import (
     LogisticL2Spec,
     MlpSpec,
@@ -115,7 +118,8 @@ def test_gradients_match_finite_differences():
 def test_batch_duplication_is_bitwise_invariant():
     rng = np.random.default_rng(12)
     for family in FAMILIES:
-        for n in (1, 2, 3, 5, 8, 13, 64, 257):
+        # 16, 17 and 31 sum n rows by the recursion and the 2n duplicate by the plan
+        for n in (1, 2, 3, 5, 8, 13, 16, 17, 31, 33, 64, 257):
             model, params = _make(family, rng)
             X, y = _batch(family, model, rng, n=n)
             one = loss_and_grad(model, params, X, y)
@@ -124,6 +128,70 @@ def test_batch_duplication_is_bitwise_invariant():
             )
             assert one.value == two.value, f"{family} n={n}"
             assert np.array_equal(one.grad.values, two.grad.values), f"{family} n={n}"
+
+
+def _recursive_sum(a):
+    """The plain halving recursion, the reference for the planned sum."""
+    n = a.shape[0]
+    if n == 1:
+        return a[0]
+    return _recursive_sum(a[: n // 2]) + _recursive_sum(a[n // 2 :])
+
+
+# zeros of both signs, subnormals, the extremes, infinities of both signs and NaN
+_SPECIALS = np.array(
+    [0.0, -0.0, 5e-324, -3e-310, 2.2e-308, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan]
+)
+
+
+def _summands(rng, n, tail, special_share, stacked):
+    """An (n, *tail) array of mixed magnitudes and some special values; stacked
+    gives the non-contiguous a.swapaxes(0, 1) view of a (k, n, ...) array."""
+    shape = (tail[0], n, *tail[1:]) if stacked else (n, *tail)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-40, 40, size=shape)
+    mask = rng.random(shape) < special_share
+    a[mask] = rng.choice(_SPECIALS, size=int(mask.sum()))
+    return a.swapaxes(0, 1) if stacked else a
+
+
+def _assert_same_bits(a):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.asarray(_recursive_sum(a))
+        got = np.asarray(models._halving_sum(a))
+    assert got.shape == want.shape == a.shape[1:]
+    # Where two NaNs of opposite sign meet, numpy's addition returns one or the
+    # other depending on the element's place in its loop (the recursion itself
+    # differs between a stack and its columns), so NaN-ness is compared, and
+    # every other value bit for bit.
+    got, want = (np.where(np.isnan(x), np.nan, x) for x in (got, want))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), a.shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(1, 700),
+        st.sampled_from([31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513]),
+    ),
+    tail=st.sampled_from([(), (1,), (3,), (2, 2, 3)]),
+    stacked=st.booleans(),
+    special_share=st.sampled_from([0.0, 0.02, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_planned_halving_sum_equals_the_recursion_bitwise(n, tail, stacked, special_share, seed):
+    rng = np.random.default_rng(seed)
+    _assert_same_bits(_summands(rng, n, tail, special_share, stacked and bool(tail)))
+
+
+@pytest.mark.parametrize("plan_min_rows", [models.PLAN_MIN_ROWS, 4])
+def test_halving_sum_bits_for_every_small_n(monkeypatch, plan_min_rows):
+    # at 4 the plan also takes every sum the inline base case does not
+    monkeypatch.setattr(models, "PLAN_MIN_ROWS", plan_min_rows)
+    rng = np.random.default_rng(21)
+    for n in range(1, 80):
+        for tail, stacked in (((), False), ((5,), True), ((3, 2, 2), True)):
+            _assert_same_bits(_summands(rng, n, tail, 0.1, stacked))
+        _assert_same_bits(np.full((n, 2), -0.0))  # a sum of -0.0 keeps its sign
 
 
 def test_mu_l_exact_trivial_cases():
