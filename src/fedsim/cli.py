@@ -6,7 +6,7 @@ participation-identity checks, JSON report), consensus-trace (per-step
 per-block consensus, CSV + JSON summary). Every output file starts with a
 provenance header carrying the config digest, seed, and package version.
 Exit codes: 0 success (and, for verify-bound, all checks passed), 1 config
-error, 2 divergence.
+or file error, 2 divergence.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ def _final_metrics(cfg, model, shards, pop_source, result) -> dict:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
+    if args.cadence is not None and args.cadence < 0:
+        raise ConfigError("--cadence must be >= 0.")
     out_dir = args.out if args.out is not None else cfg.output
     os.makedirs(out_dir, exist_ok=True)
     prov = _provenance(cfg.digest(), seed)
@@ -272,6 +274,11 @@ def cmd_verify_bound(args) -> int:
     if args.seed is not None:
         canonical["seed"] = args.seed
     trial_cfg = build_bound_trial_config(canonical)
+    out_dir = args.out if args.out is not None else "fedsim_out"
+    os.makedirs(out_dir, exist_ok=True)
+    # the closed-form ERM imports scipy on first use; load it here, in set-up, not in a trial
+    import scipy.linalg.lapack  # noqa: F401
+
     report = verify_theorem1(trial_cfg)
 
     identity_reports = None
@@ -293,8 +300,6 @@ def cmd_verify_bound(args) -> int:
                 identity_reports.append(rep.to_json_dict())
                 all_passed = all_passed and rep.passed
 
-    out_dir = args.out if args.out is not None else "fedsim_out"
-    os.makedirs(out_dir, exist_ok=True)
     doc = {
         "provenance": _provenance(canonical_digest(canonical), canonical["seed"]),
         "report": report.to_json_dict(),
@@ -324,13 +329,13 @@ def cmd_consensus_trace(args) -> int:
     if len(layout.blocks) < 2:
         raise ConfigError("consensus-trace needs a model with at least 2 blocks.")
     seed = args.seed if args.seed is not None else cfg.seeds[0]
+    cadence = args.cadence if args.cadence is not None else 1
+    if cadence < 1:
+        raise ConfigError("consensus-trace needs a cadence >= 1.")
     out_dir = args.out if args.out is not None else cfg.output
     os.makedirs(out_dir, exist_ok=True)
     prov = _provenance(cfg.digest(), seed)
 
-    cadence = args.cadence if args.cadence is not None else 1
-    if cadence < 1:
-        raise ConfigError("consensus-trace needs a cadence >= 1.")
     rows = []
 
     def sink(r, s, rec):
@@ -414,6 +419,9 @@ def main(argv=None) -> int:
         return 2
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an unwritable --out, or a data file that cannot be read
+        print(f"file error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -205,7 +205,9 @@ class CommCounter:
         if size == 0:
             return
         # a client sampled twice still uploads once
-        self.uploaded[np.unique(participants)] += size
+        sent = np.zeros(self.uploaded.shape, dtype=bool)
+        sent[participants] = True
+        self.uploaded[sent] += size
         self.downloaded += size
 
     @property

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .params import BlockLayout, ParamVector, Role, layout_from_sizes
 
@@ -382,7 +381,9 @@ def _evaluate(model: ModelSpec, params, X, y, need_grad: bool):
 # The public evaluators take either one ParamVector with one batch, X (b, d)
 # and y (b,), or a stacked (K, P) parameter matrix with one batch per row,
 # X (K, b, d) and y (K, b). A stacked call is one evaluation for all K rows;
-# row k of its result equals the single call on row k bit for bit. Stacked
+# row k of its result equals the single call on row k bit for bit wherever the
+# result is finite. A NaN result may differ in sign: numpy picks the sign of
+# the sum of two opposite-sign NaNs by the element's place in its loop. Stacked
 # results are returned unchecked, so the caller guards finiteness once.
 
 
@@ -530,6 +531,9 @@ def erm_closed_form(model: RidgeSpec, X, y, layout: BlockLayout | None = None):
     the systems are built by stacked matmuls and each is solved by the LAPACK
     routines behind scipy's cho_factor/cho_solve.
     """
+    # scipy is imported here, its one user, so the rest of the package loads numpy only
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     if not isinstance(model, RidgeSpec):
         raise ValueError("closed-form ERM is defined for ridge only.")
     X = np.asarray(X, dtype=np.float64)

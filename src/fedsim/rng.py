@@ -9,6 +9,7 @@ order or worker count.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; load it with fedsim, not at a first draw
 
 # Stream kinds. Values are part of the reproducibility contract: changing them
 # changes every derived stream.

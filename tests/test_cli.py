@@ -106,6 +106,41 @@ def test_run_seed_and_cadence_overrides(tmp_path):
     assert [r["step"] for r in rows[1:]] == [2, 4, 6]  # sync steps only
 
 
+def test_run_negative_cadence_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, _ridge_doc())
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out), "--cadence", "-2"]) == 1
+    assert "config error: --cadence must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    doc = _ridge_doc(metrics={"cadence": -2})  # the same value as a config key
+    assert main(["run", _write(tmp_path, doc, "c2.json"), "--out", str(out)]) == 1
+    assert "metrics.cadence must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify-bound", "consensus-trace"])
+def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys, command):
+    if command == "verify-bound":
+        cfg = _write(tmp_path, _bound_doc())
+    else:
+        cfg = _write(tmp_path, _mlp_doc())
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    extra = ["--grid", "alpha=1"] if command == "sweep" else []
+    assert main([command, cfg, "--out", str(blocker / "out"), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1, err
+    assert str(blocker / "out") in err
+
+
+def test_missing_data_file_exits_1_with_one_line(tmp_path, capsys):
+    doc = _ridge_doc()
+    doc["data"]["source"] = {"kind": "file", "path": str(tmp_path / "absent.csv")}
+    doc["data"]["partition"] = {"mode": "iid"}
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and "absent.csv" in err and err.count("\n") == 1, err
+
+
 def test_fedals_alpha1_twin_matches_fedavg(tmp_path):
     fedavg = _mlp_doc(algorithm="fedavg")
     fedavg["schedule"]["alpha"] = 1

@@ -8,6 +8,7 @@ from fedsim.data import GaussianClusters, GaussianLinear, draw_round_batches, ge
 from fedsim.engine import (
     FULL_PARTICIPATION,
     ClientState,
+    CommCounter,
     DivergenceError,
     ParticipationSpec,
     ScheduleSpec,
@@ -327,6 +328,21 @@ def test_partial_participation_comm_counts_unique_uploaders():
     assert np.all(run.comm.downloaded == 3 * per_sync)
     assert np.all(run.comm.uploaded <= run.comm.downloaded)
     assert run.comm.uploaded.sum() > 0
+
+
+def test_comm_counter_record_sync():
+    comm = CommCounter.zeros(4)
+    comm.record_sync(7, np.array([2, 0, 2]))  # client 2 sampled twice uploads once
+    assert comm.uploaded.tolist() == [7, 0, 7, 0]
+    assert comm.downloaded.tolist() == [7, 7, 7, 7]
+    comm.record_sync(3, np.array([1, 1, 1, 1]))
+    assert comm.uploaded.tolist() == [7, 3, 7, 0]
+    assert comm.downloaded.tolist() == [10, 10, 10, 10]
+    assert comm.total_uploaded == 17
+    comm.record_sync(0, np.array([0, 1, 2, 3]))  # an empty sync moves nothing
+    assert comm.uploaded.tolist() == [7, 3, 7, 0]
+    assert comm.downloaded.tolist() == [10, 10, 10, 10]
+    assert comm.uploaded.dtype == comm.downloaded.dtype == np.int64
 
 
 def test_determinism_same_seed_bitwise():
