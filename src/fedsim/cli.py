@@ -276,8 +276,6 @@ def cmd_verify_bound(args) -> int:
     trial_cfg = build_bound_trial_config(canonical)
     out_dir = args.out if args.out is not None else "fedsim_out"
     os.makedirs(out_dir, exist_ok=True)
-    # the closed-form ERM imports scipy on first use; load it here, in set-up, not in a trial
-    import scipy.linalg.lapack  # noqa: F401
 
     report = verify_theorem1(trial_cfg)
 

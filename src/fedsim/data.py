@@ -10,6 +10,7 @@ batches without replacement inside the round.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +186,16 @@ def _shards_from_indices(X, y, parts, provenance: str) -> list[DatasetShard]:
     ]
 
 
+def _distinct_labels(y: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of y, in y's dtype, as np.unique gives them.
+
+    np.unique is avoided because its first call imports numpy.ma, which would
+    land inside a sweep worker's first grid point.
+    """
+    s = np.sort(y)
+    return s[np.append(True, s[1:] != s[:-1])] if s.size else s
+
+
 def partition_iid(X, y, num_clients: int, seed: int) -> list[DatasetShard]:
     """Random permutation, then contiguous near-equal split (sizes differ by <= 1)."""
     X = np.asarray(X)
@@ -203,7 +214,7 @@ def partition_label_sorted(X, y, num_clients: int, classes_per_client: int) -> l
     """
     X = np.asarray(X)
     y = np.asarray(y)
-    classes = np.unique(y)
+    classes = _distinct_labels(y)
     if classes_per_client < 1 or classes.shape[0] < classes_per_client:
         raise ValueError("need 1 <= classes_per_client <= number of distinct labels.")
     order = np.argsort(y, kind="stable")
@@ -227,7 +238,7 @@ def partition_dirichlet(X, y, num_clients: int, concentration: float, seed: int)
     n = X.shape[0]
     if n < num_clients:
         raise ValueError("fewer samples than clients.")
-    classes = np.unique(y)
+    classes = _distinct_labels(y)
     gen = streams.substream(seed, streams.DATA)
     for _ in range(100):
         assigned: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
@@ -284,7 +295,7 @@ def load_delimited(path) -> tuple[np.ndarray, np.ndarray]:
     """Read samples from a text file: one sample per line, label last.
 
     Values are comma- or whitespace-separated; blank lines and lines starting
-    with '#' are skipped. Returns (X, y) with y as float64 (cast to labels by
+    with '#' are skipped, and a nan or inf value is an error naming its line. Returns (X, y) with y as float64 (cast to labels by
     the caller when the model is a classifier).
     """
     rows = []
@@ -295,9 +306,12 @@ def load_delimited(path) -> tuple[np.ndarray, np.ndarray]:
                 continue
             fields = s.replace(",", " ").split()
             try:
-                rows.append([float(f) for f in fields])
+                row = [float(f) for f in fields]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: could not parse {s!r}.") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {s!r}.")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no samples found.")
     width = len(rows[0])

@@ -524,16 +524,13 @@ def mu_L_exact(model: RidgeSpec, X) -> tuple[float, float]:
 def erm_closed_form(model: RidgeSpec, X, y, layout: BlockLayout | None = None):
     """Exact minimizer of the ridge empirical risk on (X, y).
 
-    Solves ((1/n) X^T X + l2*I) theta = (1/n) X^T y by Cholesky. Requires a
-    positive-definite system (always true for l2 > 0). X (n, d) and y (n,)
-    give a ParamVector; a stack X (N, n, d), y (N, n) gives the (N, d)
-    minimizers, row i equal to the single call on (X[i], y[i]) bit for bit:
-    the systems are built by stacked matmuls and each is solved by the LAPACK
-    routines behind scipy's cho_factor/cho_solve.
+    Solves ((1/n) X^T X + l2*I) theta = (1/n) X^T y. Requires a
+    positive-definite system (always true for l2 > 0), which a Cholesky
+    factorization checks. X (n, d) and y (n,) give a ParamVector; a stack
+    X (N, n, d), y (N, n) gives the (N, d) minimizers, row i equal to the
+    single call on (X[i], y[i]) bit for bit: the systems are built by stacked
+    matmuls, and numpy's LAPACK gufuncs factor and solve each one on its own.
     """
-    # scipy is imported here, its one user, so the rest of the package loads numpy only
-    from scipy.linalg.lapack import dpotrf, dpotrs
-
     if not isinstance(model, RidgeSpec):
         raise ValueError("closed-form ERM is defined for ridge only.")
     X = np.asarray(X, dtype=np.float64)
@@ -546,16 +543,14 @@ def erm_closed_form(model: RidgeSpec, X, y, layout: BlockLayout | None = None):
     n = X.shape[1]
     xt = X.transpose(0, 2, 1)
     h = xt @ X / n + model.l2 * np.eye(model.input_dim)
-    b = (xt @ y[:, :, None])[:, :, 0] / n
+    b = (xt @ y[:, :, None]) / n
     if not (np.isfinite(h).all() and np.isfinite(b).all()):
         raise ValueError("ERM system contains infs or NaNs.")
-    theta = np.empty(b.shape)
-    for i in range(theta.shape[0]):
-        # info < 0 would flag an invalid argument, which the checks above rule out
-        c, info = dpotrf(h[i], lower=0, clean=0)
-        if info > 0:
-            raise ValueError("ERM system is singular; needs l2 > 0 or full-rank data.")
-        theta[i] = dpotrs(c, b[i], lower=0)[0]
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("ERM system is singular; needs l2 > 0 or full-rank data.") from exc
+    theta = np.linalg.solve(h, b)[:, :, 0]
     if not np.isfinite(theta).all():
         raise ValueError("ERM solution contains non-finite entries.")
     if not single:

@@ -208,6 +208,26 @@ def test_invalid_labels_exit_1_not_2(tmp_path, capsys):
     assert "divergence" not in err
 
 
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+def test_non_finite_label_in_a_data_file_exits_1_not_2(tmp_path, capsys, label):
+    # without sync-time risks a non-finite target would first show as a
+    # non-finite training loss, which is not a divergence: the file is rejected
+    # when it is loaded, naming the line
+    X = np.random.default_rng(6).standard_normal((24, 2))
+    rows = [f"{x0:.17g},{x1:.17g},{x0 - x1:.17g}" for x0, x1 in X]
+    rows[6] = f"{X[6, 0]:.17g},{X[6, 1]:.17g},{label}"
+    data = tmp_path / "targets.csv"
+    data.write_text("# x0,x1,y\n" + "\n".join(rows) + "\n")
+    doc = _ridge_doc()
+    doc["data"]["source"] = {"kind": "file", "path": str(data)}
+    doc["data"]["partition"] = {"mode": "iid"}
+    doc["metrics"] = {"risks_at_sync": False}
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "targets.csv:8: non-finite value" in err, err
+    assert "divergence" not in err
+
+
 def test_parse_grid():
     axes = parse_grid("alpha=1,5;tau=10;eta=0.1,0.2;seed=1,2,3")
     assert axes == [

@@ -1,8 +1,8 @@
 """What each CLI command imports, checked in a fresh interpreter per command.
 
-Only verify-bound needs scipy (for the closed-form ERM), and it loads it in
-its set-up, before the Monte Carlo trials start. The other commands start on
-numpy alone, and a run imports nothing once the engine has started.
+Every command runs on numpy alone: none imports scipy, and each still works
+when scipy cannot be imported at all. The label partitions do not load
+numpy.ma, and a run imports nothing once the engine has started.
 """
 
 import json
@@ -17,15 +17,14 @@ import fedsim
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fedsim.__file__)))
 GOLDEN_CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "configs")
 
-# Runs the CLI with the engine and bound entry points wrapped, then prints one
-# JSON line: whether scipy was loaded at the end, whether it was loaded when
-# verify_theorem1 was entered, and the modules imported after run_experiment
-# started.
+# Runs the CLI with the engine entry point wrapped, then prints one JSON line:
+# whether scipy and numpy.ma were loaded at the end, and the modules imported
+# after run_experiment started.
 PROBE = """
 import json, sys
 from fedsim import cli
 
-seen = {"scipy_at_bound": None, "new_in_run": []}
+seen = {"new_in_run": []}
 
 
 def _run(*args, **kwargs):
@@ -36,47 +35,63 @@ def _run(*args, **kwargs):
         seen["new_in_run"] += sorted(set(sys.modules) - before)
 
 
-def _bound(*args, **kwargs):
-    seen["scipy_at_bound"] = "scipy" in sys.modules
-    return verify_theorem1(*args, **kwargs)
-
-
-run_experiment, verify_theorem1 = cli.run_experiment, cli.verify_theorem1
-cli.run_experiment, cli.verify_theorem1 = _run, _bound
+run_experiment = cli.run_experiment
+cli.run_experiment = _run
 code = cli.main(sys.argv[1:])
 seen["scipy"] = "scipy" in sys.modules
+seen["numpy.ma"] = "numpy.ma" in sys.modules
 print(json.dumps(seen))
 sys.exit(code)
 """
 
 
-def _probe(tmp_path, *argv):
+# a None entry in sys.modules makes every later import of the name fail
+NO_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
+
+
+def _probe(tmp_path, *argv, prelude=""):
     env = dict(os.environ, PYTHONPATH=SRC, FEDSIM_WORKERS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv, "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", prelude + PROBE, *argv, "--out", str(tmp_path / "out")],
         cwd=GOLDEN_CONFIGS, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("run", "fedals_mlp_labelsorted_worep.json"),
-        ("consensus-trace", "trace_fedals_mlp.json"),
-        ("sweep", "sweep_fedals_mlp.json", "--grid", "alpha=1,3"),
-    ],
-    ids=["run", "consensus-trace", "sweep"],
-)
+# one golden config per command; the first three are MLP runs
+COMMANDS = [
+    pytest.param(("run", "fedals_mlp_labelsorted_worep.json"), id="run"),
+    pytest.param(("consensus-trace", "trace_fedals_mlp.json"), id="consensus-trace"),
+    pytest.param(("sweep", "sweep_fedals_mlp.json", "--grid", "alpha=1,3"), id="sweep"),
+    pytest.param(
+        ("verify-bound", "bound_perclient_identities.json", "--identities"), id="verify-bound"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", COMMANDS[:3])
 def test_commands_on_an_mlp_never_import_scipy(tmp_path, argv):
     seen = _probe(tmp_path, *argv)
     assert seen["scipy"] is False
 
 
-def test_verify_bound_loads_scipy_before_the_trials(tmp_path):
-    seen = _probe(tmp_path, "verify-bound", "bound_perclient_identities.json")
-    assert seen["scipy_at_bound"] is True
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_every_command_runs_with_scipy_unimportable(tmp_path, argv):
+    _probe(tmp_path, *argv, prelude=NO_SCIPY)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "fedals_mlp_labelsorted_worep.json"),
+        ("sweep", "fedals_scaffold_mlp_tanh_dirichlet.json", "--grid", "eta=0.05,0.1"),
+    ],
+    ids=["label-sorted-run", "dirichlet-sweep"],
+)
+def test_label_partitions_never_load_numpy_ma(tmp_path, argv):
+    seen = _probe(tmp_path, *argv)
+    assert seen["numpy.ma"] is False
 
 
 def test_per_client_run_imports_nothing_once_the_engine_starts(tmp_path):
