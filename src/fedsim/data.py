@@ -295,8 +295,9 @@ def load_delimited(path) -> tuple[np.ndarray, np.ndarray]:
     """Read samples from a text file: one sample per line, label last.
 
     Values are comma- or whitespace-separated; blank lines and lines starting
-    with '#' are skipped, and a nan or inf value is an error naming its line. Returns (X, y) with y as float64 (cast to labels by
-    the caller when the model is a classifier).
+    with '#' are skipped, and a nan or inf value is an error naming its line.
+    Returns (X, y) with y as float64 (cast to labels by the caller when the
+    model is a classifier).
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.config import (
     ConfigError,
@@ -356,3 +358,207 @@ def test_copy_does_not_leak_into_canonical():
     doc["schedule"]["tau"] = 99
     doc["data"]["source"]["noise_std"] = 99.0
     assert cfg.canonical == snapshot
+
+
+# Property tests: any valid document, experiment or bound, parses to a
+# canonical dict that parses back to itself, and one unknown key added to any
+# object of that dict is a ConfigError that names the key.
+
+_pos = st.floats(0.01, 10.0)
+
+
+def _weights(clients):
+    parts = st.lists(st.integers(1, 9), min_size=clients, max_size=clients)
+    return parts.map(lambda a: [x / sum(a) for x in a])
+
+
+@st.composite
+def _covariance(draw, dim):
+    kind = draw(st.sampled_from(["default", "identity", "diagonal", "matrix"]))
+    if kind == "identity":
+        return {"covariance": "identity"}
+    if kind == "diagonal":
+        return {"covariance": {"diagonal": draw(st.lists(_pos, min_size=dim, max_size=dim))}}
+    if kind == "matrix":
+        return {"covariance": [[float(i == j) for j in range(dim)] for i in range(dim)]}
+    return {}
+
+
+@st.composite
+def _linear_law(draw, dim, coef_rows):
+    """A Gaussian linear law; coef_rows is the client_coefs row count, or 0
+    when the law must be shared by all clients."""
+    law = draw(_covariance(dim))
+    if draw(st.booleans()):
+        law["noise_std"] = draw(_pos)
+    row = st.lists(_pos, min_size=dim, max_size=dim)
+    routes = ["coef", "mode", "default"] + (["client_coefs"] if coef_rows else [])
+    route = draw(st.sampled_from(routes))
+    if route == "coef":
+        law["coef"] = draw(row)
+    elif route == "client_coefs":
+        law["client_coefs"] = draw(st.lists(row, min_size=coef_rows, max_size=coef_rows))
+    elif route == "mode":
+        modes = ["zero", "shared_random"] + (["per_client_random"] if coef_rows else [])
+        law["coef_mode"] = draw(st.sampled_from(modes))
+        law["coef_scale"] = draw(_pos)
+    return law
+
+
+@st.composite
+def _experiment_docs(draw):
+    algorithm = draw(st.sampled_from(["fedavg", "fedals", "scaffold", "fedals_scaffold"]))
+    clients = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 3))
+    blocks = algorithm in ("fedals", "fedals_scaffold")
+    family = "mlp" if blocks else draw(st.sampled_from(["ridge", "logistic_l2", "mlp"]))
+    kinds = {"ridge": ["gaussian_linear", "file"], "logistic_l2": ["file"]}
+    kind = draw(st.sampled_from(kinds.get(family, ["gaussian_clusters", "file"])))
+    modes = ["iid", "label_sorted", "dirichlet"] + ([] if kind == "file" else ["per_client"])
+    mode = draw(st.sampled_from(modes))
+    model = {"family": family, "input_dim": dim}
+    if draw(st.booleans()):
+        model["l2"] = draw(st.floats(0.0, 1.0))
+    if family == "mlp":
+        hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        model["hidden"] = hidden
+        model["num_classes"] = draw(st.integers(2, 4))
+        model["activation"] = draw(st.sampled_from(["relu", "tanh"]))
+        # fedals needs both a representation and a head block
+        layers = st.integers(1, len(hidden)) if blocks else st.integers(0, len(hidden) + 1)
+        model["representation_layers"] = draw(layers)
+    if kind == "file":
+        source = {"kind": kind, "path": "samples.csv"}
+    elif kind == "gaussian_clusters":
+        source = {"kind": kind, "dim": dim, "num_classes": model["num_classes"]}
+        source.update(mean_scale=draw(_pos), cov_scale=draw(_pos), balanced=draw(st.booleans()))
+    else:
+        coef_rows = clients if mode == "per_client" else 0
+        source = {"kind": kind, "dim": dim, **draw(_linear_law(dim, coef_rows))}
+    partition = {"mode": mode}
+    if mode == "label_sorted":
+        partition["classes_per_client"] = draw(st.integers(1, 3))
+    elif mode == "dirichlet":
+        partition["concentration"] = draw(_pos)
+    data = {"source": source, "partition": partition, "n_per_client": draw(st.integers(1, 50))}
+    if kind != "file" and draw(st.booleans()):
+        data["holdout_per_client"] = draw(st.integers(0, 20))
+    if draw(st.booleans()):
+        data["batches_with_replacement"] = draw(st.booleans())
+    schedule = {
+        "tau": draw(st.integers(1, 5)),
+        "eta": draw(_pos),
+        "rounds": draw(st.integers(1, 5)),
+        "batch_size": draw(st.integers(1, 8)),
+    }
+    if algorithm in ("fedals", "fedals_scaffold"):
+        schedule["alpha"] = draw(st.integers(1, 4))
+    doc = {
+        "algorithm": algorithm,
+        "clients": clients,
+        "model": model,
+        "data": data,
+        "schedule": schedule,
+    }
+    if draw(st.booleans()):
+        doc["seed"] = draw(st.integers(0, 99))
+    else:
+        doc["seeds"] = draw(st.lists(st.integers(0, 99), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        doc["weights"] = draw(_weights(clients))
+    participation = draw(st.sampled_from(["full", "with_replacement", "without_replacement"]))
+    if participation == "full":
+        doc["participation"] = {"mode": "full"}
+    else:
+        sampled = draw(st.integers(1, clients if participation == "without_replacement" else 6))
+        doc["participation"] = {"mode": participation, "num_sampled": sampled}
+    if draw(st.booleans()):
+        doc["metrics"] = {
+            "cadence": draw(st.integers(0, 3)),
+            "per_client_risks": draw(st.booleans()),
+            "risks_at_sync": draw(st.booleans()),
+        }
+    if draw(st.booleans()):
+        doc["output"] = "out"
+    return doc
+
+
+@st.composite
+def _bound_docs(draw):
+    clients = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 3))
+    doc = {
+        "clients": clients,
+        "n_per_client": draw(st.integers(2, 50)),
+        "dim": dim,
+        "l2": draw(_pos),
+        "trials": draw(st.integers(1, 100)),
+        "seed": draw(st.integers(0, 99)),
+        **draw(_linear_law(dim, clients)),
+    }
+    if draw(st.booleans()):
+        doc["weights"] = draw(_weights(clients))
+    if draw(st.booleans()):
+        doc["identities"] = {
+            "num_sampled": draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)),
+            "draws": draw(st.integers(2, 1000)),
+        }
+    return doc
+
+
+def _objects(d, path=()):
+    """The path of every object (dict) in a canonical config, the root included."""
+    yield path
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _objects(value, (*path, key))
+
+
+def _with_key(canonical, path, key):
+    doc = copy.deepcopy(canonical)
+    node = doc
+    for part in path:
+        node = node[part]
+    node[key] = 1
+    return doc
+
+
+_stray_keys = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12).map("x_".__add__)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_experiment_docs())
+def test_parse_config_returns_a_canonical_dict_unchanged(doc):
+    canonical = parse_config(doc).canonical
+    frozen = json.dumps(canonical, sort_keys=True)
+    again = parse_config(canonical).canonical
+    assert json.dumps(again, sort_keys=True) == frozen
+    assert json.dumps(canonical, sort_keys=True) == frozen
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_bound_docs())
+def test_parse_bound_config_returns_a_canonical_dict_unchanged(doc):
+    canonical = parse_bound_config(doc)
+    frozen = json.dumps(canonical, sort_keys=True)
+    again = parse_bound_config(canonical)
+    assert json.dumps(again, sort_keys=True) == frozen
+    assert json.dumps(canonical, sort_keys=True) == frozen
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_experiment_docs(), key=_stray_keys)
+def test_an_unknown_experiment_key_at_any_level_is_named(doc, key):
+    canonical = parse_config(doc).canonical
+    for path in _objects(canonical):
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
+            parse_config(_with_key(canonical, path, key))
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_bound_docs(), key=_stray_keys)
+def test_an_unknown_bound_key_at_any_level_is_named(doc, key):
+    canonical = parse_bound_config(doc)
+    for path in _objects(canonical):
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
+            parse_bound_config(_with_key(canonical, path, key))

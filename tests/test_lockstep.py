@@ -204,8 +204,8 @@ def test_chunked_step_equals_unchunked_step(monkeypatch):
 
 # The ridge closed forms: a stacked call must equal N single calls bit for bit.
 # Jacobi and the risk must also equal the single-matrix routines they replaced,
-# kept here as references; the ERM solve, which moved from scipy's Cholesky
-# solve to numpy's, must agree with scipy within a solver's error bound.
+# kept here as references; the ERM solve must agree with scipy's Cholesky solve
+# within a solver's error bound.
 
 
 def _jacobi_reference(a, tol=1e-13, max_sweeps=60):
@@ -348,5 +348,8 @@ def test_stacked_erm_rejects_a_singular_or_non_finite_member():
     with pytest.raises(ValueError, match="ERM system is singular"):
         models.erm_closed_form(model, X, y)
     y[2, 0] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        models.erm_closed_form(RidgeSpec(input_dim=2, l2=0.5), X, y)
+    y[2, 0], X[0, 3, 1] = 1.0, np.inf
     with pytest.raises(ValueError, match="infs or NaNs"):
         models.erm_closed_form(RidgeSpec(input_dim=2, l2=0.5), X, y)
