@@ -327,6 +327,13 @@ def verify_participation_identities(
     |mean(delta)| <= 3 * stderr(delta). Per-draw and analytic values share one
     evaluation path, so the degenerate without-replacement num_sampled ==
     num_clients case gives deltas of exactly zero.
+
+    Draws run in chunks of models.STACK_ELEMENTS // max(num_clients,
+    num_sampled) rows (at least one), each continuing the one
+    (seed, scheme, num_sampled) stream, and write their per-draw values into
+    three (draws,) vectors; the means and stderrs are taken over the whole
+    vectors. So memory grows with draws alone, and the report has the same
+    bits for every chunk size.
     """
     if scheme not in ("with_replacement", "without_replacement"):
         raise ValueError(f"unknown scheme {scheme!r}.")
@@ -351,28 +358,33 @@ def verify_participation_identities(
 
     scheme_id = 1 if scheme == "with_replacement" else 2
     gen = streams.substream(seed, streams.IDENTITY, scheme_id, num_sampled)
+    per_draw = [np.empty(draws) for _ in range(3)]
+    rows = max(1, models.STACK_ELEMENTS // max(num_clients, num_sampled))
+    chunks = [slice(start, min(start + rows, draws)) for start in range(0, draws, rows)]
 
     if scheme == "with_replacement":
-        idx = gen.choice(num_clients, size=(draws, num_sampled), replace=True, p=w)
-        idx = np.sort(idx, axis=1)
-        rowsum = _row_sums(x[idx])
         p = 1.0 / num_sampled
+        for c in chunks:
+            idx = gen.choice(num_clients, size=(c.stop - c.start, num_sampled), replace=True, p=w)
+            rowsum = _row_sums(x[np.sort(idx, axis=1)])
+            per_draw[0][c] = p * rowsum
+            per_draw[1][c] = p * (p * rowsum)
+            per_draw[2][c] = p * (p * (p * rowsum))
         analytic_base = float(_row_sums((w * x)[None, :])[0])
-        per_draw = [p * rowsum, p * (p * rowsum), p * (p * (p * rowsum))]
         analytic = [analytic_base, p * analytic_base, p * (p * analytic_base)]
     else:
-        if num_sampled == num_clients:
-            idx = np.broadcast_to(np.arange(num_clients), (draws, num_clients)).copy()
-        else:
-            keys = gen.random((draws, num_clients))
-            idx = np.sort(np.argpartition(keys, num_sampled - 1, axis=1)[:, :num_sampled], axis=1)
         factor = num_clients / num_sampled
-        per_draw = []
-        analytic = []
-        for j in (1, 2, 3):
-            core = _row_sums(w[idx] ** j * x[idx])
-            per_draw.append(factor**j * core)
-            analytic.append(factor ** (j - 1) * float(_row_sums((w**j * x)[None, :])[0]))
+        for c in chunks:
+            if num_sampled == num_clients:
+                idx = np.broadcast_to(np.arange(num_clients), (c.stop - c.start, num_clients))
+            else:
+                keys = gen.random((c.stop - c.start, num_clients))
+                idx = np.sort(np.argpartition(keys, num_sampled - 1, axis=1)[:, :num_sampled], axis=1)
+            for j in (1, 2, 3):
+                per_draw[j - 1][c] = factor**j * _row_sums(w[idx] ** j * x[idx])
+        analytic = [
+            factor ** (j - 1) * float(_row_sums((w**j * x)[None, :])[0]) for j in (1, 2, 3)
+        ]
 
     names = ("mean", "weighted_mean", "square_weighted_mean")
     checks = []

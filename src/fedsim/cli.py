@@ -411,6 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:  # every command takes --seed
+            raise ConfigError("--seed must be >= 0.")
         return args.func(args)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

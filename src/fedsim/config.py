@@ -620,10 +620,12 @@ def parse_bound_config(doc: dict) -> dict:
     if ident is not None:
         _check_keys(ident, "bound config.identities", set(), {"num_sampled", "draws"})
         sampled = ident.get("num_sampled", [clients])
-        if not isinstance(sampled, list) or not all(
+        if not isinstance(sampled, list) or not sampled or not all(
             isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in sampled
         ):
-            raise ConfigError("bound config.identities.num_sampled must be a list of ints >= 1.")
+            raise ConfigError(
+                "bound config.identities.num_sampled must be a non-empty list of ints >= 1."
+            )
         out["identities"] = {
             "num_sampled": list(sampled),
             "draws": _as_int(ident, "draws", "bound config.identities", default=100000, minimum=2),

@@ -1,5 +1,7 @@
 """Bound assembly, Monte Carlo verification, and participation identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,47 @@ def test_identities_deterministic_per_seed():
     assert a.to_json_dict() == b.to_json_dict()
     c = verify_participation_identities(5, 3, "with_replacement", draws=1000, seed=10)
     assert a.checks[0]["mc_mean"] != c.checks[0]["mc_mean"]
+
+
+@pytest.mark.parametrize(
+    "num_clients, num_sampled, scheme",
+    [
+        (5, 3, "with_replacement"),
+        (5, 5, "with_replacement"),
+        (3, 5, "with_replacement"),
+        (5, 3, "without_replacement"),
+        (5, 5, "without_replacement"),
+    ],
+)
+def test_identities_independent_of_chunk_size(monkeypatch, num_clients, num_sampled, scheme):
+    # a chunk row is max(num_clients, num_sampled) elements wide; 200 draws in
+    # chunks of 1 row, of 7 rows (200 = 28 * 7 + 4, a ragged last chunk) and
+    # of all 200 rows
+    width = max(num_clients, num_sampled)
+    w = np.array([0.35, 0.25, 0.2, 0.15, 0.05][:num_clients])
+    w = w / np.sum(w)
+    x = np.array([2.0, -1.0, 0.5, 3.0, -4.0][:num_clients])
+    reports = []
+    for rows in (1, 7, 200):
+        monkeypatch.setattr(models, "STACK_ELEMENTS", rows * width)
+        rep = verify_participation_identities(
+            num_clients, num_sampled, scheme, draws=200, seed=6, weights=w, x=x
+        )
+        reports.append(rep.to_json_dict())
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("scheme", ["with_replacement", "without_replacement"])
+def test_identities_memory_grows_with_draws_alone(scheme):
+    # three per-draw vectors and the reduction's temporaries need about 40
+    # bytes a draw; the rest is one chunk of keys and indices. Holding every
+    # (draws, K) key and index at once needs 328 and 824 bytes a draw here.
+    draws = 50000
+    verify_participation_identities(40, 20, scheme, draws=100, seed=3)
+    tracemalloc.start()
+    try:
+        verify_participation_identities(40, 20, scheme, draws=draws, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * draws + 4 * models.STACK_ELEMENTS * 8, peak / draws

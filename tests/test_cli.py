@@ -118,6 +118,19 @@ def test_run_negative_cadence_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "verify-bound", "consensus-trace"])
+def test_negative_seed_is_a_config_error_before_any_output(tmp_path, capsys, command):
+    if command == "verify-bound":
+        cfg = _write(tmp_path, _bound_doc())
+    else:
+        cfg = _write(tmp_path, _mlp_doc())
+    out = tmp_path / "out"
+    extra = ["--grid", "alpha=1"] if command == "sweep" else []
+    assert main([command, cfg, "--seed", "-3", "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err == "config error: --seed must be >= 0.\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify-bound", "consensus-trace"])
 def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys, command):
     if command == "verify-bound":
         cfg = _write(tmp_path, _bound_doc())
@@ -369,6 +382,26 @@ def test_verify_bound_identities_use_the_config_weights(tmp_path):
     assert with_rep["checks"][0]["identity"] == "mean"
     assert with_rep["checks"][0]["analytic"] == pytest.approx(1.7, rel=1e-15)
     assert all(r["passed"] for r in reports)
+
+
+def test_verify_bound_subset_above_clients_runs_with_replacement_only(tmp_path):
+    cfg = _write(tmp_path, _bound_doc(identities={"num_sampled": [2, 5], "draws": 2000}))
+    out = tmp_path / "out"
+    assert main(["verify-bound", cfg, "--identities", "--out", str(out)]) == 0
+    reports = json.loads((out / "bound_report.json").read_text())["identity_reports"]
+    assert [(r["scheme"], r["num_sampled"]) for r in reports] == [
+        ("with_replacement", 2),
+        ("without_replacement", 2),
+        ("with_replacement", 5),
+    ]
+
+
+def test_verify_bound_empty_identity_sizes_exit_1(tmp_path, capsys):
+    cfg = _write(tmp_path, _bound_doc(identities={"num_sampled": [], "draws": 1000}))
+    out = tmp_path / "out"
+    assert main(["verify-bound", cfg, "--identities", "--out", str(out)]) == 1
+    assert "bound config.identities.num_sampled" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_bound_insufficient_trials(tmp_path, capsys):

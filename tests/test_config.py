@@ -327,6 +327,8 @@ def test_bound_config_validation():
     assert ident["identities"] == {"num_sampled": [1, 2], "draws": 100000}
     with pytest.raises(ConfigError, match="num_sampled"):
         parse_bound_config(dict(base, identities={"num_sampled": [0]}))
+    with pytest.raises(ConfigError, match=r"bound config\.identities\.num_sampled .*non-empty"):
+        parse_bound_config(dict(base, identities={"num_sampled": [], "draws": 1000}))
 
 
 @pytest.mark.parametrize(
