@@ -47,11 +47,8 @@ from .engine import (  # noqa: F401
 from .metrics import (  # noqa: F401
     MetricsRecord,
     accuracy,
-    consensus_distance,
     empirical_risk,
-    non_iidness,
     population_risk_estimate,
-    roundwise_gen_error,
 )
 from .bounds import (  # noqa: F401
     BoundReport,

@@ -305,10 +305,6 @@ class IdentityReport:
         return dict(vars(self))
 
 
-def _row_sums(arr2d: np.ndarray) -> np.ndarray:
-    return arr2d.sum(axis=1)
-
-
 def verify_participation_identities(
     num_clients: int,
     num_sampled: int,
@@ -366,11 +362,11 @@ def verify_participation_identities(
         p = 1.0 / num_sampled
         for c in chunks:
             idx = gen.choice(num_clients, size=(c.stop - c.start, num_sampled), replace=True, p=w)
-            rowsum = _row_sums(x[np.sort(idx, axis=1)])
+            rowsum = x[np.sort(idx, axis=1)].sum(axis=1)
             per_draw[0][c] = p * rowsum
             per_draw[1][c] = p * (p * rowsum)
             per_draw[2][c] = p * (p * (p * rowsum))
-        analytic_base = float(_row_sums((w * x)[None, :])[0])
+        analytic_base = float((w * x).sum())
         analytic = [analytic_base, p * analytic_base, p * (p * analytic_base)]
     else:
         factor = num_clients / num_sampled
@@ -381,10 +377,8 @@ def verify_participation_identities(
                 keys = gen.random((c.stop - c.start, num_clients))
                 idx = np.sort(np.argpartition(keys, num_sampled - 1, axis=1)[:, :num_sampled], axis=1)
             for j in (1, 2, 3):
-                per_draw[j - 1][c] = factor**j * _row_sums(w[idx] ** j * x[idx])
-        analytic = [
-            factor ** (j - 1) * float(_row_sums((w**j * x)[None, :])[0]) for j in (1, 2, 3)
-        ]
+                per_draw[j - 1][c] = factor**j * (w[idx] ** j * x[idx]).sum(axis=1)
+        analytic = [factor ** (j - 1) * float((w**j * x).sum()) for j in (1, 2, 3)]
 
     names = ("mean", "weighted_mean", "square_weighted_mean")
     checks = []

@@ -58,9 +58,11 @@ def _csv_writer(fh, prov: dict):
     return csv.writer(fh)
 
 
-def _execute(cfg: ExperimentConfig, seed: int, *, cadence=None, on_record=None):
+def _execute(
+    cfg: ExperimentConfig, seed: int, shards, pop_source, *, cadence=None, on_record=None
+):
+    """Train on the (shards, pop_source) that config.build_shards gave for seed."""
     model = cfg.model_spec()
-    shards, pop_source = build_shards(cfg, seed)
     result = run_experiment(
         cfg.algorithm,
         model,
@@ -77,7 +79,7 @@ def _execute(cfg: ExperimentConfig, seed: int, *, cadence=None, on_record=None):
         per_client_risks=cfg.per_client_risks,
         on_record=on_record,
     )
-    return model, shards, pop_source, result
+    return model, result
 
 
 def _final_metrics(cfg, model, shards, pop_source, result) -> dict:
@@ -85,7 +87,7 @@ def _final_metrics(cfg, model, shards, pop_source, result) -> dict:
     train = empirical_risk(model, result.final_params, shards, w)
     test = acc = None
     if pop_source is not None:
-        test, _ = population_risk_estimate(model, result.final_params, pop_source, w)
+        test = population_risk_estimate(model, result.final_params, pop_source, w)
         if not isinstance(model, RidgeSpec):  # a GaussianLinear source serves ridge only
             xs = np.vstack([s.X for s in pop_source])
             ys = np.concatenate([s.y for s in pop_source])
@@ -109,14 +111,15 @@ def cmd_run(args) -> int:
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     started = time.monotonic()
+    shards, pop_source = build_shards(cfg, seed)  # so a set-up failure writes no metrics.jsonl
     with open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write(_dump({"provenance": prov}) + "\n")
 
         def sink(r, s, rec):
             fh.write(_dump(rec.to_row()) + "\n")
 
-        model, shards, pop_source, result = _execute(
-            cfg, seed, cadence=args.cadence, on_record=sink
+        model, result = _execute(
+            cfg, seed, shards, pop_source, cadence=args.cadence, on_record=sink
         )
     elapsed = time.monotonic() - started
 
@@ -180,8 +183,9 @@ def _sweep_point(payload):
     cfg = parse_config(canonical)
     trains, tests, accs = [], [], []
     for seed in seeds:
+        shards, pop_source = build_shards(cfg, seed)
         try:
-            model, shards, pop_source, result = _execute(cfg, seed, cadence=0)
+            model, result = _execute(cfg, seed, shards, pop_source, cadence=0)
         except DivergenceError as exc:
             point = "alpha={alpha} tau={tau} eta={eta!r}".format(**canonical["schedule"])
             raise DivergenceError(f"{point} seed={seed}: {exc}", exc.client) from exc
@@ -340,7 +344,8 @@ def cmd_consensus_trace(args) -> int:
         rows.append((r, s, rec.consensus))
 
     cfg.canonical["metrics"]["risks_at_sync"] = False
-    model, shards, pop_source, result = _execute(cfg, seed, cadence=cadence, on_record=sink)
+    shards, pop_source = build_shards(cfg, seed)
+    model, result = _execute(cfg, seed, shards, pop_source, cadence=cadence, on_record=sink)
 
     trace_path = os.path.join(out_dir, "consensus.csv")
     block_names = [b.name for b in result.layout.blocks]

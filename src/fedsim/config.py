@@ -103,6 +103,8 @@ def _as_float_list(v, where: str):
     for x in v:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ConfigError(f"{where} must contain only numbers.")
+        if not np.isfinite(x):
+            raise ConfigError(f"{where} must contain only finite numbers.")
         out.append(float(x))
     return out
 
@@ -191,9 +193,6 @@ class ExperimentConfig:
     def participation_spec(self) -> ParticipationSpec:
         p = self.canonical["participation"]
         return ParticipationSpec(p["mode"], p.get("num_sampled"))
-
-    def to_json(self) -> str:
-        return json.dumps(self.canonical, indent=2, sort_keys=True) + "\n"
 
     def digest(self) -> str:
         return canonical_digest(self.canonical)
@@ -289,30 +288,31 @@ def _parse_linear_law(doc: dict, dim: int, where: str, clients: int | None = Non
     return out
 
 
-def _parse_source(s: dict, dim_owner: str = "data.source") -> dict:
-    kind = _as_choice(s, "kind", dim_owner, SOURCE_KINDS)
+def _parse_source(s: dict) -> dict:
+    where = "data.source"
+    kind = _as_choice(s, "kind", where, SOURCE_KINDS)
     if kind == "gaussian_linear":
-        _check_keys(s, dim_owner, {"kind", "dim"}, LINEAR_LAW_KEYS)
-        dim = _as_int(s, "dim", dim_owner, minimum=1)
-        return {"kind": kind, "dim": dim, **_parse_linear_law(s, dim, dim_owner)}
+        _check_keys(s, where, {"kind", "dim"}, LINEAR_LAW_KEYS)
+        dim = _as_int(s, "dim", where, minimum=1)
+        return {"kind": kind, "dim": dim, **_parse_linear_law(s, dim, where)}
     if kind == "gaussian_clusters":
         _check_keys(
             s,
-            dim_owner,
+            where,
             {"kind", "dim", "num_classes"},
             {"mean_scale", "cov_scale", "balanced"},
         )
         return {
             "kind": kind,
-            "dim": _as_int(s, "dim", dim_owner, minimum=1),
-            "num_classes": _as_int(s, "num_classes", dim_owner, minimum=2),
-            "mean_scale": _as_float(s, "mean_scale", dim_owner, default=1.0, minimum=0.0),
-            "cov_scale": _as_float(s, "cov_scale", dim_owner, default=1.0, strict_min=0.0),
-            "balanced": _as_bool(s, "balanced", dim_owner, False),
+            "dim": _as_int(s, "dim", where, minimum=1),
+            "num_classes": _as_int(s, "num_classes", where, minimum=2),
+            "mean_scale": _as_float(s, "mean_scale", where, default=1.0, minimum=0.0),
+            "cov_scale": _as_float(s, "cov_scale", where, default=1.0, strict_min=0.0),
+            "balanced": _as_bool(s, "balanced", where, False),
         }
-    _check_keys(s, dim_owner, {"kind", "path"})
+    _check_keys(s, where, {"kind", "path"})
     if not isinstance(s["path"], str) or not s["path"]:
-        raise ConfigError(f"{dim_owner}.path must be a non-empty string.")
+        raise ConfigError(f"{where}.path must be a non-empty string.")
     return {"kind": kind, "path": s["path"]}
 
 
@@ -566,11 +566,7 @@ def build_shards(cfg: ExperimentConfig, seed: int):
         pop_source = source
     elif holdout_n > 0:
         pop_source = [
-            DatasetShard(
-                *source.sample(holdout_n, k, streams.substream(seed, streams.EVAL, k)),
-                owner=k,
-                provenance="holdout",
-            )
+            DatasetShard(*source.sample(holdout_n, k, streams.substream(seed, streams.EVAL, k)))
             for k in range(clients)
         ]
     else:

@@ -119,8 +119,6 @@ class DatasetShard:
 
     X: np.ndarray
     y: np.ndarray
-    owner: int
-    provenance: str = ""
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -131,6 +129,8 @@ class DatasetShard:
             raise ValueError("shard labels must match the sample count.")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("shard features contain non-finite entries.")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("shard labels contain non-finite entries.")
 
     @property
     def n(self) -> int:
@@ -151,9 +151,7 @@ def generate(spec: GeneratorSpec, n_per_client: int, num_clients: int) -> list[D
     for k in range(num_clients):
         gen = streams.substream(spec.seed, streams.DATA, k)
         x, y = spec.sample(n_per_client, k, gen)
-        shards.append(
-            DatasetShard(x, y, owner=k, provenance=f"generated:seed={spec.seed}:client={k}")
-        )
+        shards.append(DatasetShard(x, y))
     return shards
 
 
@@ -179,11 +177,8 @@ def _contiguous_split(order: np.ndarray, num_clients: int) -> list[np.ndarray]:
     return parts
 
 
-def _shards_from_indices(X, y, parts, provenance: str) -> list[DatasetShard]:
-    return [
-        DatasetShard(X[idx], y[idx], owner=k, provenance=f"{provenance}:client={k}")
-        for k, idx in enumerate(parts)
-    ]
+def _shards_from_indices(X, y, parts) -> list[DatasetShard]:
+    return [DatasetShard(X[idx], y[idx]) for idx in parts]
 
 
 def _distinct_labels(y: np.ndarray) -> np.ndarray:
@@ -202,7 +197,7 @@ def partition_iid(X, y, num_clients: int, seed: int) -> list[DatasetShard]:
     y = np.asarray(y)
     order = streams.substream(seed, streams.DATA).permutation(X.shape[0])
     parts = _contiguous_split(order, num_clients)
-    return _shards_from_indices(X, y, parts, f"iid:seed={seed}")
+    return _shards_from_indices(X, y, parts)
 
 
 def partition_label_sorted(X, y, num_clients: int, classes_per_client: int) -> list[DatasetShard]:
@@ -219,7 +214,7 @@ def partition_label_sorted(X, y, num_clients: int, classes_per_client: int) -> l
         raise ValueError("need 1 <= classes_per_client <= number of distinct labels.")
     order = np.argsort(y, kind="stable")
     parts = _contiguous_split(order, num_clients)
-    return _shards_from_indices(X, y, parts, f"label_sorted:cpc={classes_per_client}")
+    return _shards_from_indices(X, y, parts)
 
 
 def partition_dirichlet(X, y, num_clients: int, concentration: float, seed: int) -> list[DatasetShard]:
@@ -253,9 +248,7 @@ def partition_dirichlet(X, y, num_clients: int, concentration: float, seed: int)
                 start += counts[k]
         parts = [np.concatenate(a) for a in assigned]
         if all(p.shape[0] > 0 for p in parts):
-            return _shards_from_indices(
-                X, y, parts, f"dirichlet:conc={concentration}:seed={seed}"
-            )
+            return _shards_from_indices(X, y, parts)
     raise ValueError(
         f"dirichlet partition left an empty client in 100 draws (concentration={concentration})."
     )

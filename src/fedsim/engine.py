@@ -478,7 +478,7 @@ def run_experiment(
                     avg = _uniform_average(clients)
                     train = empirical_risk(model, avg, shards, w)
                     if pop_source is not None:
-                        test, _ = population_risk_estimate(model, avg, pop_source, w)
+                        test = population_risk_estimate(model, avg, pop_source, w)
                         gap = test - train
                     if per_client_risks:
                         pcr = shard_risks(model, avg, shards)

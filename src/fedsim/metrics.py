@@ -1,15 +1,15 @@
-"""Risk, consensus, and heterogeneity measurements.
+"""Risk and consensus measurements.
 
 Everything here is a pure function of model parameters and data, so records
 can be recomputed offline from a run's inputs. Population risk has two
 routes: exact closed form (ridge on Gaussian linear data) or a held-out
-sample with a standard error.
+sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .models import (
     sample_losses,
     stack_rows,
 )
-from .params import ParamVector, Role
+from .params import ParamVector
 
 
 @dataclass
@@ -104,11 +104,11 @@ def population_risk_estimate(
     params: ParamVector,
     source,
     weights: Sequence[float],
-) -> tuple[float, float]:
-    """Client-weighted population risk with a standard error.
+) -> float:
+    """Client-weighted population risk.
 
     source selects the route:
-      - GaussianLinear with a ridge model: exact closed form, stderr 0;
+      - GaussianLinear with a ridge model: exact closed form;
       - a sequence of DatasetShard: held-out estimate.
     """
     weights = [float(w) for w in weights]
@@ -120,7 +120,7 @@ def population_risk_estimate(
             total += w * population_risk_closed_form(
                 model, params, source.covariance, source.coef_for(k), source.noise_std
             )
-        return total, 0.0
+        return total
     shards = list(source)
     if len(shards) != len(weights):
         raise ValueError("one weight per holdout shard required.")
@@ -129,15 +129,18 @@ def population_risk_estimate(
         for i, losses in zip(idx, sample_losses(model, theta, X, y)):
             per_shard[i] = losses
     total = 0.0
-    var = 0.0
-    for shard, w, losses in zip(shards, weights, per_shard):
+    for w, losses in zip(weights, per_shard):
         total += w * float(np.mean(losses))
-        if shard.n > 1:
-            var += w * w * float(np.var(losses, ddof=1)) / shard.n
-    return total, float(np.sqrt(var))
+    return total
 
 
-def _stacked_with_center(client_params: Sequence[ParamVector]):
+def consensus_map(client_params: Sequence[ParamVector]) -> dict[str, float]:
+    """Per-block mean squared distance of clients to their unweighted average.
+
+    (1/K) sum_k ||mean - theta_k||^2 over each block, in layout order, from
+    one stack and centre. The mean is always uniform, matching the drift
+    quantity the schedules control, even when evaluation weights are not.
+    """
     if not client_params:
         raise ValueError("need at least one client.")
     layout = client_params[0].layout
@@ -145,89 +148,11 @@ def _stacked_with_center(client_params: Sequence[ParamVector]):
         if p.layout != layout:
             raise ValueError("client vectors do not share a layout.")
     stacked = np.stack([p.values for p in client_params])
-    return layout, stacked, np.mean(stacked, axis=0)
-
-
-def _distance(stacked: np.ndarray, center: np.ndarray, slices) -> float:
-    total = 0.0
-    for sl in slices:
-        diff = stacked[:, sl] - center[sl]
-        total += float(np.sum(diff * diff))
-    return total / stacked.shape[0]
-
-
-def consensus_distance(
-    client_params: Sequence[ParamVector], role_filter: Role | None = None
-) -> float:
-    """Mean squared distance of clients to their unweighted average.
-
-    (1/K) sum_k ||mean - theta_k||^2 over the blocks of the given role, or all
-    blocks. The mean is always uniform, matching the drift quantity the
-    schedules control, even when evaluation weights are not.
-    """
-    layout, stacked, center = _stacked_with_center(client_params)
-    return _distance(stacked, center, layout.role_slices(role_filter))
-
-
-def consensus_map(client_params: Sequence[ParamVector]) -> dict[str, float]:
-    """Per-block consensus distances, in layout order, from one stack and centre."""
-    layout, stacked, center = _stacked_with_center(client_params)
-    return {b.name: _distance(stacked, center, (b.slice,)) for b in layout.blocks}
-
-
-def roundwise_gen_error(
-    model: ModelSpec,
-    round_params: Sequence[ParamVector],
-    round_batches: Sequence[Sequence[np.ndarray]],
-    shards: Sequence[DatasetShard],
-    weights: Sequence[float],
-    population_client_risks: Callable[[ParamVector], np.ndarray],
-) -> float:
-    """Average over rounds of the generalization gap of the round's aggregate.
-
-    For each round r, the end-of-round aggregate is compared against the
-    samples consumed during that round (the union of its batches):
-    sum_k w_k * (R_k(theta_r) - mean_{i in Z_{k,r}} loss(theta_r, z_i)),
-    averaged over rounds. population_client_risks returns the per-client
-    population risks of a parameter vector.
-    """
-    if len(round_params) != len(round_batches):
-        raise ValueError("one parameter vector per round required.")
-    if not round_params:
-        raise ValueError("need at least one round.")
-    weights = [float(w) for w in weights]
-    total = 0.0
-    for theta, batches in zip(round_params, round_batches):
-        pop = np.asarray(population_client_risks(theta), dtype=np.float64)
-        if pop.shape != (len(shards),):
-            raise ValueError("population_client_risks must return one value per client.")
-        round_term = 0.0
-        for k, (shard, w) in enumerate(zip(shards, weights)):
-            idx = np.asarray(batches[k]).reshape(-1)
-            emp = batch_loss(model, theta, shard.X[idx], shard.y[idx])
-            round_term += w * (float(pop[k]) - emp)
-        total += round_term
-    return total / len(round_params)
-
-
-def non_iidness(
-    model: ModelSpec,
-    shards: Sequence[DatasetShard],
-    global_params: ParamVector,
-    local_params: Sequence[ParamVector],
-) -> np.ndarray:
-    """Per-client excess empirical risk of the aggregate over the local model.
-
-    delta_k = R_{S_k}(global) - R_{S_k}(local_k). Near zero when clients are
-    statistically identical; grows with heterogeneity.
-    """
-    if len(shards) != len(local_params):
-        raise ValueError("one local model per shard required.")
-    out = np.empty(len(shards))
-    for k, (shard, local) in enumerate(zip(shards, local_params)):
-        out[k] = batch_loss(model, global_params, shard.X, shard.y) - batch_loss(
-            model, local, shard.X, shard.y
-        )
+    center = np.mean(stacked, axis=0)
+    out = {}
+    for b in layout.blocks:
+        diff = stacked[:, b.slice] - center[b.slice]
+        out[b.name] = float(np.sum(diff * diff)) / stacked.shape[0]
     return out
 
 

@@ -454,14 +454,15 @@ def _rotate(a: np.ndarray, p: int, q: int) -> None:
     a[:, :, q] = s * cp + c * cq
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
+def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending.
 
     a is one (n, n) matrix, giving (n,), or a stack (T, n, n), giving (T, n).
     A stack is swept in one pass: each rotation (p, q) is applied at once to
     every matrix that has not converged, with the single matrix's element-wise
     arithmetic, and a matrix leaves the pass when its own off-diagonal norm
-    is small enough. So row t equals the single call on a[t] bit for bit.
+    falls to 1e-13 of max(1, its largest diagonal magnitude); 60 sweeps without
+    that are an error. So row t equals the single call on a[t] bit for bit.
 
     Self-contained on purpose: the exact curvature constants flow into bound
     verification, so they are computed by a route independent of the library
@@ -483,9 +484,9 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) 
     if n > 1:
         scale = np.maximum(1.0, np.abs(out).max(axis=1))
         rows = np.arange(a.shape[0])  # the matrices still being rotated
-        for _ in range(max_sweeps):
+        for _ in range(60):
             off = np.sqrt(2.0 * (np.triu(a, 1) ** 2).reshape(rows.size, n * n).sum(axis=1))
-            done = off <= tol * scale
+            done = off <= 1e-13 * scale
             out[rows[done]] = np.diagonal(a[done], axis1=1, axis2=2)
             a, scale, rows = a[~done], scale[~done], rows[~done]
             if rows.size == 0:

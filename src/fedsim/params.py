@@ -67,12 +67,6 @@ class BlockLayout:
         last = self.blocks[-1]
         return last.offset + last.length
 
-    def block(self, name: str) -> Block:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise KeyError(f"no block named {name!r}.")
-
     def role_slices(self, role: Role | None) -> tuple[slice, ...]:
         """Slices of the blocks with the given role; all blocks when role is None."""
         if role is None:

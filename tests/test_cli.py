@@ -152,6 +152,7 @@ def test_missing_data_file_exits_1_with_one_line(tmp_path, capsys):
     assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and "absent.csv" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "o" / "metrics.jsonl").exists()  # set-up failed before any output
 
 
 def test_fedals_alpha1_twin_matches_fedavg(tmp_path):
@@ -195,6 +196,17 @@ def test_run_exit_codes(tmp_path, capsys):
     assert main(["run", _write(tmp_path, doc, "c4.json"), "--out", str(tmp_path / "o")]) == 2
     assert "divergence" in capsys.readouterr().err
 
+    # JSON's Infinity and NaN: an infinite coef used to exit 2 at the first
+    # step, and NaN weights passed every comparison of the weight checks
+    doc = _ridge_doc()
+    doc["data"]["source"]["coef"] = [float("inf"), 0.0]
+    assert main(["run", _write(tmp_path, doc, "c5.json"), "--out", str(tmp_path / "o5")]) == 1
+    assert "data.source.coef must contain only finite numbers" in capsys.readouterr().err
+    doc = _ridge_doc(weights=[float("nan"), float("nan")])
+    assert main(["run", _write(tmp_path, doc, "c6.json"), "--out", str(tmp_path / "o6")]) == 1
+    assert "config.weights must contain only finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "o5").exists() and not (tmp_path / "o6").exists()
+
 
 
 def test_divergence_exits_2_naming_round_step_and_client(tmp_path, capsys):
@@ -204,6 +216,8 @@ def test_divergence_exits_2_naming_round_step_and_client(tmp_path, capsys):
     assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert re.search(r"divergence: round \d+ step \d+ client \d+: ", err), err
+    rows = _read_jsonl(tmp_path / "o" / "metrics.jsonl")  # the steps before it are kept
+    assert "provenance" in rows[0] and len(rows) > 1
 
 
 def test_invalid_labels_exit_1_not_2(tmp_path, capsys):
@@ -239,6 +253,19 @@ def test_non_finite_label_in_a_data_file_exits_1_not_2(tmp_path, capsys, label):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "targets.csv:8: non-finite value" in err, err
     assert "divergence" not in err
+    assert not (tmp_path / "o" / "metrics.jsonl").exists()
+
+
+@pytest.mark.parametrize("partition", ["per_client", "iid"])
+def test_overflowing_generated_labels_exit_1_not_2(tmp_path, capsys, partition):
+    # coefficients of 1e308 scale give infinite targets: bad data, not a divergence
+    doc = _ridge_doc()
+    doc["data"]["source"]["coef_scale"] = 1e308
+    doc["data"]["partition"] = {"mode": partition}
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: shard labels contain non-finite entries.\n", err
+    assert not (tmp_path / "o" / "metrics.jsonl").exists()
 
 
 def test_parse_grid():

@@ -60,10 +60,9 @@ def _mlp_doc(**overrides):
 
 def test_roundtrip_idempotent():
     cfg = parse_config(_doc())
-    again = parse_config(json.loads(cfg.to_json()))
+    again = parse_config(json.loads(json.dumps(cfg.canonical)))
     assert again.canonical == cfg.canonical
     assert again.digest() == cfg.digest()
-    assert again.to_json() == cfg.to_json()
 
 
 def test_defaults_materialized():
@@ -136,6 +135,9 @@ def test_weight_validation():
         parse_config(_doc(weights=[1.5, -0.25, -0.25]))
     with pytest.raises(ConfigError, match="sum to 1"):
         parse_config(_doc(weights=[0.5, 0.3, 0.1]))
+    # a NaN fails every comparison, so only a finiteness check catches it
+    with pytest.raises(ConfigError, match=r"config\.weights must contain only finite"):
+        parse_config(_doc(weights=[float("nan")] * 3))
     cfg = parse_config(_doc(weights=[0.5, 0.3, 0.2]))
     assert cfg.weights == [0.5, 0.3, 0.2]
 
@@ -329,6 +331,30 @@ def test_bound_config_validation():
         parse_bound_config(dict(base, identities={"num_sampled": [0]}))
     with pytest.raises(ConfigError, match=r"bound config\.identities\.num_sampled .*non-empty"):
         parse_bound_config(dict(base, identities={"num_sampled": [], "draws": 1000}))
+    with pytest.raises(ConfigError, match=r"bound config\.weights must contain only finite"):
+        parse_bound_config(dict(base, weights=[float("nan"), float("nan")]))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "law, where",
+    [
+        (lambda v: {"coef": [v, 0.0]}, "coef"),
+        (lambda v: {"client_coefs": [[0.0, 0.0], [0.0, v], [0.0, 0.0]]}, "client_coefs row"),
+        (lambda v: {"covariance": {"diagonal": [1.0, v]}}, "covariance.diagonal"),
+        (lambda v: {"covariance": [[1.0, 0.0], [0.0, v]]}, "covariance row"),
+    ],
+    ids=["coef", "client_coefs", "diagonal", "matrix"],
+)
+def test_non_finite_law_entries_are_named(law, where, value):
+    # json.load accepts NaN and +-Infinity, so parsing must reject them
+    doc = _doc()
+    doc["data"]["source"] = {"kind": "gaussian_linear", "dim": 2, **law(value)}
+    with pytest.raises(ConfigError, match=rf"data\.source\.{where} must contain only finite"):
+        parse_config(json.loads(json.dumps(doc)))
+    bound = {"clients": 3, "n_per_client": 20, "dim": 2, "l2": 0.5, "trials": 150, "seed": 6}
+    with pytest.raises(ConfigError, match=rf"bound config\.{where} must contain only finite"):
+        parse_bound_config(json.loads(json.dumps(dict(bound, **law(value)))))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedsim.data import (
+    DatasetShard,
     GaussianClusters,
     GaussianLinear,
     draw_round_batches,
@@ -194,6 +195,16 @@ def test_round_batches_rejects_oversized_round():
     with_rep = draw_round_batches_with_replacement(shard, 3, 4, substream(2, 4, 0, 0))
     assert with_rep.shape == (3, 4)
     assert with_rep.max() < 10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shard_rejects_non_finite_features_and_labels(bad):
+    X, y = np.ones((3, 2)), np.zeros(3)
+    DatasetShard(X, y)
+    with pytest.raises(ValueError, match="features contain non-finite"):
+        DatasetShard(np.where(np.eye(3, 2) > 0, bad, X), y)
+    with pytest.raises(ValueError, match="labels contain non-finite"):
+        DatasetShard(X, np.array([0.0, bad, 0.0]))
 
 
 def test_load_delimited(tmp_path):

@@ -1,17 +1,14 @@
-"""Risk estimators, consensus distances, and heterogeneity measures."""
+"""Risk estimators and consensus distances."""
 
 import numpy as np
 import pytest
 
-from fedsim.data import DatasetShard, GaussianLinear, generate
+from fedsim.data import GaussianLinear, generate
 from fedsim.metrics import (
     accuracy,
-    consensus_distance,
     consensus_map,
     empirical_risk,
-    non_iidness,
     population_risk_estimate,
-    roundwise_gen_error,
     sample_losses,
 )
 from fedsim.models import (
@@ -20,7 +17,6 @@ from fedsim.models import (
     RidgeSpec,
     batch_loss,
     build_layout,
-    erm_closed_form,
     init_params,
     population_risk_closed_form,
 )
@@ -98,12 +94,12 @@ def test_population_risk_exact_route():
     lay = build_layout(model)
     params = ParamVector(np.zeros(3), lay)
     w = [0.25, 0.75]
-    got, se = population_risk_estimate(model, params, spec, w)
+    got = population_risk_estimate(model, params, spec, w)
     want = sum(
         wk * population_risk_closed_form(model, params, spec.covariance, spec.coef_for(k), 0.7)
         for k, wk in enumerate(w)
     )
-    assert se == 0.0
+    assert isinstance(got, float)
     assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -113,7 +109,7 @@ def test_population_risk_exact_noise_floor():
     spec = GaussianLinear(covariance=np.eye(2), client_coefs=coefs, noise_std=0.7, seed=0)
     model = RidgeSpec(input_dim=2, l2=0.0)
     params = ParamVector(coefs[0].copy(), build_layout(model))
-    got, _ = population_risk_estimate(model, params, spec, [1.0])
+    got = population_risk_estimate(model, params, spec, [1.0])
     assert got == pytest.approx(0.5 * 0.7**2, rel=1e-14)
 
 
@@ -130,10 +126,10 @@ def test_population_risk_holdout_route():
     model = RidgeSpec(input_dim=3, l2=0.2)
     params = init_params(model, build_layout(model), np.random.default_rng(7))
     w = [0.5, 0.5]
-    got, se = population_risk_estimate(model, params, shards, w)
+    got = population_risk_estimate(model, params, shards, w)
     want = empirical_risk(model, params, shards, w)
+    assert isinstance(got, float)
     assert got == pytest.approx(want, rel=1e-12)
-    assert se > 0.0
     with pytest.raises(ValueError, match="one weight per holdout shard"):
         population_risk_estimate(model, params, shards, [1.0])
 
@@ -142,23 +138,23 @@ def test_consensus_hand_case():
     lay = layout_from_sizes([("h", 1, Role.HEAD)])
     a = ParamVector(np.array([0.0]), lay)
     b = ParamVector(np.array([2.0]), lay)
-    assert consensus_distance([a, b]) == 1.0
-    assert consensus_distance([a, a]) == 0.0
+    assert consensus_map([a, b]) == {"h": 1.0}
+    assert consensus_map([a, a]) == {"h": 0.0}
 
 
 def test_consensus_homogeneity_and_additivity():
     lay = layout_from_sizes([("phi", 3, Role.REPRESENTATION), ("h", 2, Role.HEAD)])
     rng = np.random.default_rng(8)
     params = [ParamVector(rng.standard_normal(5), lay) for _ in range(4)]
-    base = consensus_distance(params)
-    scaled = [ParamVector(3.0 * p.values, lay) for p in params]
-    assert consensus_distance(scaled) == pytest.approx(9.0 * base, rel=1e-12)
     per_block = consensus_map(params)
     assert list(per_block) == ["phi", "h"]
-    assert sum(per_block.values()) == pytest.approx(base, rel=1e-12)
-    assert consensus_distance(params, role_filter=Role.HEAD) == pytest.approx(
-        per_block["h"], rel=1e-12
-    )
+    scaled = consensus_map([ParamVector(3.0 * p.values, lay) for p in params])
+    for name, base in per_block.items():
+        assert scaled[name] == pytest.approx(9.0 * base, rel=1e-12)
+    # the blocks split the whole-vector distance
+    whole = layout_from_sizes([("all", 5, Role.HEAD)])
+    total = consensus_map([ParamVector(p.values, whole) for p in params])["all"]
+    assert sum(per_block.values()) == pytest.approx(total, rel=1e-12)
 
 
 def test_consensus_validation():
@@ -166,110 +162,9 @@ def test_consensus_validation():
     other = layout_from_sizes([("g", 1, Role.HEAD)])
     a = ParamVector(np.array([0.0]), lay)
     with pytest.raises(ValueError, match="at least one"):
-        consensus_distance([])
+        consensus_map([])
     with pytest.raises(ValueError, match="layout"):
-        consensus_distance([a, ParamVector(np.array([0.0]), other)])
-
-
-def test_roundwise_gen_error_hand_case():
-    model = RidgeSpec(input_dim=1, l2=0.0)
-    lay = build_layout(model)
-    shard = DatasetShard(
-        X=np.array([[1.0], [2.0], [3.0], [4.0]]), y=np.array([1.0, 2.0, 3.0, 5.0]),
-        owner=0, provenance="hand",
-    )
-    round_params = [ParamVector(np.array([0.5]), lay), ParamVector(np.array([1.0]), lay)]
-    batches = [[np.array([0, 1])], [np.array([2, 3])]]
-    got = roundwise_gen_error(
-        model, round_params, batches, [shard], [1.0], lambda theta: np.array([2.0])
-    )
-    # round 1: 2 - 0.3125; round 2: 2 - 0.25; averaged
-    assert got == pytest.approx(1.71875, abs=1e-15)
-
-
-def test_roundwise_gen_error_zero_at_truth():
-    coefs = np.array([[0.4, -0.3], [0.4, -0.3]])
-    spec = GaussianLinear(covariance=np.eye(2), client_coefs=coefs, noise_std=0.0, seed=3)
-    shards = generate(spec, 20, 2)
-    model = RidgeSpec(input_dim=2, l2=0.0)
-    star = ParamVector(coefs[0].copy(), build_layout(model))
-    pop = lambda theta: np.array(
-        [
-            population_risk_closed_form(model, theta, spec.covariance, spec.coef_for(k), 0.0)
-            for k in range(2)
-        ]
-    )
-    got = roundwise_gen_error(
-        model, [star], [[np.arange(20), np.arange(20)]], shards, [0.5, 0.5], pop
-    )
-    assert abs(got) <= 1e-15
-
-
-def test_roundwise_gen_error_matches_risk_difference():
-    spec, shards = _linear_shards(num_clients=3, noise=0.5, seed=9)
-    model = RidgeSpec(input_dim=3, l2=0.1)
-    params = init_params(model, build_layout(model), np.random.default_rng(10))
-    w = [1 / 3, 1 / 3, 1 / 3]
-    pop = lambda theta: np.array(
-        [
-            population_risk_closed_form(model, theta, spec.covariance, spec.coef_for(k), 0.5)
-            for k in range(3)
-        ]
-    )
-    full = [np.arange(s.n) for s in shards]
-    got = roundwise_gen_error(model, [params], [full], shards, w, pop)
-    pop_total, _ = population_risk_estimate(model, params, spec, w)
-    want = pop_total - empirical_risk(model, params, shards, w)
-    assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_roundwise_gen_error_validation():
-    model = RidgeSpec(input_dim=1, l2=0.0)
-    lay = build_layout(model)
-    theta = ParamVector(np.array([0.0]), lay)
-    shard = DatasetShard(X=np.array([[1.0]]), y=np.array([0.0]), owner=0, provenance="hand")
-    with pytest.raises(ValueError, match="per round"):
-        roundwise_gen_error(model, [theta], [], [shard], [1.0], lambda t: np.array([0.0]))
-    with pytest.raises(ValueError, match="at least one round"):
-        roundwise_gen_error(model, [], [], [shard], [1.0], lambda t: np.array([0.0]))
-    with pytest.raises(ValueError, match="one value per client"):
-        roundwise_gen_error(
-            model, [theta], [[np.array([0])]], [shard], [1.0], lambda t: np.zeros(3)
-        )
-
-
-def test_non_iidness_zero_for_shared_model():
-    spec, shards = _linear_shards(num_clients=2)
-    model = RidgeSpec(input_dim=3, l2=0.2)
-    params = init_params(model, build_layout(model), np.random.default_rng(11))
-    deltas = non_iidness(model, shards, params, [params, params])
-    assert np.array_equal(deltas, [0.0, 0.0])
-
-
-def test_non_iidness_erm_locals_are_floors():
-    spec, shards = _linear_shards(num_clients=3, noise=0.4, seed=12)
-    model = RidgeSpec(input_dim=3, l2=0.2)
-    locals_ = [erm_closed_form(model, s.X, s.y) for s in shards]
-    union_X = np.concatenate([s.X for s in shards])
-    union_y = np.concatenate([s.y for s in shards])
-    global_ = erm_closed_form(model, union_X, union_y)
-    deltas = non_iidness(model, shards, global_, locals_)
-    assert np.all(deltas >= -1e-10)
-
-
-def test_non_iidness_grows_with_heterogeneity():
-    coefs = np.array([[1.0, 1.0], [-1.0, -1.0]])
-    spec = GaussianLinear(covariance=np.eye(2), client_coefs=coefs, noise_std=0.1, seed=13)
-    shards = generate(spec, 200, 2)
-    model = RidgeSpec(input_dim=2, l2=0.01)
-    locals_ = [erm_closed_form(model, s.X, s.y) for s in shards]
-    global_ = erm_closed_form(
-        model, np.concatenate([s.X for s in shards]), np.concatenate([s.y for s in shards])
-    )
-    deltas = non_iidness(model, shards, global_, locals_)
-    assert np.all(deltas > 0.5)  # opposed coefficients make the average bad everywhere
-    with pytest.raises(ValueError, match="one local model per shard"):
-        non_iidness(model, shards, global_, locals_[:1])
+        consensus_map([a, ParamVector(np.array([0.0]), other)])
 
 
 def test_accuracy_hand_cases():

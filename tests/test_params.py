@@ -43,12 +43,9 @@ def test_layout_rejects_gaps_and_overlaps():
 def test_layout_lookup_and_sizes():
     lay = _layout(("phi", 3, Role.REPRESENTATION), ("h", 2, Role.HEAD))
     assert lay.total_params == 5
-    assert lay.block("phi").slice == slice(0, 3)
     assert lay.role_size(Role.HEAD) == 2
     assert lay.role_slices(Role.REPRESENTATION) == (slice(0, 3),)
     assert lay.role_slices(None) == (slice(0, 3), slice(3, 5))
-    with pytest.raises(KeyError):
-        lay.block("nope")
 
 
 def test_param_vector_rejects_non_finite_and_bad_shape():
