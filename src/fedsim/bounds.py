@@ -34,7 +34,7 @@ from .models import (
     loss_and_grad,
     population_risk_closed_form,
 )
-from .params import ParamVector
+from .params import ParamVector, weighted_average
 
 MIN_TRIALS = 100
 
@@ -116,10 +116,9 @@ def one_round_fedavg_erm(
 
     Returns X (T, K, n, d), y (T, K, n), the local ERMs (T, K, d) and the
     aggregates (T, d) for the T trials in trials. Client k of trial t draws
-    its sample from substream(seed, TRIAL, t, k). The aggregate is
-    params.weighted_average's anchored sum, base + sum_k w_k (local_k - base)
-    in client order, so each row equals weighted_average of its trial's
-    locals bit for bit.
+    its sample from substream(seed, TRIAL, t, k). The aggregates are one
+    params.weighted_average over the client axis, which is element-wise, so
+    each row equals weighted_average of its trial's locals bit for bit.
     """
     gen_spec = config.generator
     model = RidgeSpec(gen_spec.dim, config.l2)
@@ -132,11 +131,7 @@ def one_round_fedavg_erm(
             X[i, k], y[i, k] = gen_spec.sample(n, k, gen)
     locals_ = erm_closed_form(model, X.reshape(-1, n, gen_spec.dim), y.reshape(-1, n))
     locals_ = locals_.reshape(len(trials), k_clients, gen_spec.dim)
-    base = locals_[:, 0]
-    theta_hat = base.copy()
-    for k in range(1, k_clients):
-        theta_hat += float(config.weights[k]) * (locals_[:, k] - base)
-    return X, y, locals_, theta_hat
+    return X, y, locals_, weighted_average(locals_.swapaxes(0, 1), config.weights)
 
 
 def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:

@@ -111,22 +111,34 @@ def cmd_run(args) -> int:
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     started = time.monotonic()
-    shards, pop_source = build_shards(cfg, seed)  # so a set-up failure writes no metrics.jsonl
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({"provenance": prov}) + "\n")
+    shards, pop_source = build_shards(cfg, seed)
+    metrics_fh = None
 
-        def sink(r, s, rec):
-            fh.write(_dump(rec.to_row()) + "\n")
+    def sink(r, s, rec):
+        # opened at the first record, which every round emits: by then the
+        # set-up checks and the first step's label checks have passed, so a
+        # set-up failure writes no metrics.jsonl
+        nonlocal metrics_fh
+        if metrics_fh is None:
+            metrics_fh = open(metrics_path, "w", encoding="utf-8")
+            metrics_fh.write(_dump({"provenance": prov}) + "\n")
+        metrics_fh.write(_dump(rec.to_row()) + "\n")
 
+    try:
         model, result = _execute(
             cfg, seed, shards, pop_source, cadence=args.cadence, on_record=sink
         )
+    finally:
+        if metrics_fh is not None:
+            metrics_fh.close()
     elapsed = time.monotonic() - started
 
     summary = {"provenance": prov, "algorithm": cfg.algorithm, "seed": seed,
                "steps": result.steps, "rounds": cfg.canonical["schedule"]["rounds"]}
     summary.update(_final_metrics(cfg, model, shards, pop_source, result))
-    summary["final_consensus"] = consensus_map(result.client_params)
+    summary["final_consensus"] = consensus_map(
+        np.stack([p.values for p in result.client_params]), result.layout
+    )
     summary["comm"] = {
         "uploaded_per_client": [int(x) for x in result.comm.uploaded],
         "downloaded_per_client": [int(x) for x in result.comm.downloaded],

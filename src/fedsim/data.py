@@ -58,7 +58,9 @@ class GaussianLinear:
     def sample(self, n: int, client: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         z = gen.standard_normal((n, self.dim))
         x = z @ self._sqrt.T
-        y = x @ self.coef_for(client) + self.noise_std * gen.standard_normal(n)
+        # overflowing labels come back as inf; every caller rejects non-finite labels
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = x @ self.coef_for(client) + self.noise_std * gen.standard_normal(n)
         return x, y
 
 

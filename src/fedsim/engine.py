@@ -13,7 +13,7 @@ depend on evaluation order or worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,13 +28,7 @@ from .metrics import (
     shard_risks,
 )
 from .models import ModelSpec, build_layout, init_params, loss_and_grad
-from .params import (
-    BlockLayout,
-    ParamVector,
-    Role,
-    weighted_average,
-    weighted_sum,
-)
+from .params import BlockLayout, ParamVector, Role, weighted_average, weighted_sum
 
 ALGORITHMS = ("fedavg", "fedals", "scaffold", "fedals_scaffold")
 CONTROL_ALGORITHMS = ("scaffold", "fedals_scaffold")
@@ -161,36 +155,6 @@ class ClientState:
 
 
 @dataclass
-class ClientStack:
-    """Every client's training state as (K, P) float64 matrices; row k is client k.
-
-    control and snapshot are present exactly for the control-variate
-    algorithms. rows holds one ClientState per client whose vectors are views
-    of the matrix rows, so the per-client API writes through to the stack.
-    The matrices are only ever updated in place, which keeps those views live.
-    """
-
-    params: np.ndarray
-    layout: BlockLayout
-    control: np.ndarray | None = None
-    snapshot: np.ndarray | None = None
-    rows: list[ClientState] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        def row(m, k):
-            return None if m is None else ParamVector(m[k], self.layout)
-
-        self.rows = [
-            ClientState(k, row(self.params, k), row(self.control, k), row(self.snapshot, k))
-            for k in range(self.params.shape[0])
-        ]
-
-    @property
-    def param_vectors(self) -> list[ParamVector]:
-        return [c.params for c in self.rows]
-
-
-@dataclass
 class CommCounter:
     """Parameters moved per client, upload and download counted separately."""
 
@@ -230,7 +194,7 @@ def comm_closed_form(schedule: ScheduleSpec, layout: BlockLayout) -> int:
 
 def local_sgd_step(
     model: ModelSpec,
-    client: ClientState | ClientStack,
+    client: ClientState | np.ndarray,
     X,
     y,
     eta: float,
@@ -241,10 +205,11 @@ def local_sgd_step(
     The correction (control-variate delta c_bar - c_k) is added to the
     gradient before scaling, so a client whose variate equals the average
     takes exactly the uncorrected step. For one ClientState, X is (b, d), the
-    correction (P,) and the float batch loss is returned. For a ClientStack
-    every client steps in lockstep from one stacked loss_and_grad call: X is
-    (K, b, d), y (K, b), the correction (K, P), and the (K,) losses are
-    returned. Either way the state is updated in place.
+    correction (P,) and the float batch loss is returned. For a (K, P) matrix
+    of client rows every client steps in lockstep from one stacked
+    loss_and_grad call: X is (K, b, d), y (K, b), the correction (K, P), and
+    the (K,) losses are returned. Either way the parameters are updated in
+    place.
     """
     if isinstance(client, ClientState):
         theta = client.params.values[None]
@@ -254,7 +219,7 @@ def local_sgd_step(
         if correction is not None:
             correction = np.asarray(correction)[None]
     else:
-        theta = client.params
+        theta = client
         ids = range(theta.shape[0])
     ev = loss_and_grad(model, theta, X, y)
     # in place on the fresh gradient: no further (K, P) temporary, same bits
@@ -299,35 +264,28 @@ def scaffold_control_update(
 
 
 def aggregate(
-    clients: Sequence[ClientState],
+    theta: np.ndarray,
     layout: BlockLayout,
     role: Role,
     participants: np.ndarray,
     agg_weights: np.ndarray,
 ) -> int:
-    """Average the participants' blocks of one role and broadcast to everyone.
+    """Combine the participant rows of theta on one role's blocks; write the result to every row.
 
     Weights summing to 1 (within tolerance) take the exact-fixed-point path;
     otherwise a plain weighted sum is used (partial-participation estimators
-    weight by K(k)*K/K_hat, which only sums to 1 in expectation). Returns the
-    number of parameters synced per client.
+    weight by K(k)*K/K_hat, which only sums to 1 in expectation). A client
+    sampled twice counts twice. Returns the number of parameters synced per
+    client.
     """
-    slices = layout.role_slices(role)
-    size = sum(sl.stop - sl.start for sl in slices)
-    if size == 0:
-        return 0
-    vectors = [clients[int(i)].params for i in participants]
     total = 0.0
     for x in agg_weights:
         total += float(x)
-    if abs(total - 1.0) <= 1e-12:
-        avg = weighted_average(vectors, agg_weights, role_filter=role)
-    else:
-        avg = weighted_sum(vectors, agg_weights, role_filter=role)
-    for c in clients:
-        for sl in slices:
-            c.params.values[sl] = avg.values[sl]
-    return size
+    combine = weighted_average if abs(total - 1.0) <= 1e-12 else weighted_sum
+    slices = layout.role_slices(role)
+    for sl in slices:
+        theta[:, sl] = combine(theta[participants, sl], agg_weights)
+    return sum(sl.stop - sl.start for sl in slices)
 
 
 @dataclass
@@ -342,9 +300,9 @@ class RunResult:
     steps: int
 
 
-def _uniform_average(clients: ClientStack) -> ParamVector:
-    k = len(clients.rows)
-    return weighted_average(clients.param_vectors, [1.0 / k] * k)
+def _uniform_average(theta: np.ndarray, layout: BlockLayout) -> ParamVector:
+    k = theta.shape[0]
+    return ParamVector(weighted_average(theta, [1.0 / k] * k), layout)
 
 
 def run_experiment(
@@ -406,21 +364,23 @@ def run_experiment(
                 f"shard ({smallest}): config violates the without-replacement sampling model."
             )
 
-    use_control = algorithm in CONTROL_ALGORITHMS
+    # row k of each (K, P) matrix is client k; the matrices are only updated in place
     theta0 = init_params(model, layout, streams.substream(seed, streams.INIT))
-    start = np.tile(theta0.values, (num_clients, 1))
-    clients = ClientStack(
-        start,
-        layout,
-        control=np.zeros_like(start) if use_control else None,
-        snapshot=start.copy() if use_control else None,
-    )
-    c_bar = np.zeros(layout.total_params) if use_control else None
+    theta = np.tile(theta0.values, (num_clients, 1))
+    live_control = algorithm in CONTROL_ALGORITHMS and not pin_control
+    if live_control:
+        control = np.zeros_like(theta)
+        snapshot = theta.copy()
+        c_bar = np.zeros(layout.total_params)
+        # one-row views for scaffold_control_update; they write through to the matrices
+        clients = [
+            ClientState(k, *(ParamVector(m[k], layout) for m in (theta, control, snapshot)))
+            for k in range(num_clients)
+        ]
 
     comm = CommCounter.zeros(num_clients)
     records: list[MetricsRecord] = []
     draw = draw_round_batches_with_replacement if batches_with_replacement else draw_round_batches
-    live_control = use_control and not pin_control
     step = 0
 
     for r in range(1, schedule.rounds + 1):
@@ -435,11 +395,9 @@ def run_experiment(
 
         for t in range(schedule.tau):
             step += 1
-            correction = c_bar - clients.control if live_control else None
+            correction = c_bar - control if live_control else None
             try:
-                local_sgd_step(
-                    model, clients, round_X[:, t], round_y[:, t], schedule.eta, correction
-                )
+                local_sgd_step(model, theta, round_X[:, t], round_y[:, t], schedule.eta, correction)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"round {r} step {step} client {exc.client}: {exc}", exc.client
@@ -451,7 +409,7 @@ def run_experiment(
                 if sync_due(step, role, schedule) and layout.role_size(role) > 0
             ]
             emit = bool(roles_due) or (consensus_every > 0 and step % consensus_every == 0)
-            cons = consensus_map(clients.param_vectors) if emit else None
+            cons = consensus_map(theta, layout) if emit else None
 
             if roles_due:
                 participants, agg_w = sample_participants(participation, num_clients, w, sync_gen)
@@ -460,22 +418,22 @@ def run_experiment(
                     if live_control:
                         period = schedule.tau if role == Role.HEAD else schedule.alpha * schedule.tau
                         old_bar = c_bar.copy()
-                        for c in clients.rows:
+                        for c in clients:
                             scaffold_control_update(c, old_bar, schedule.eta, period, slices)
                         for sl in slices:
                             # a contiguous copy reduces exactly as a stack of the rows
-                            c_bar[sl] = np.mean(np.ascontiguousarray(clients.control[:, sl]), axis=0)
-                    size = aggregate(clients.rows, layout, role, participants, agg_w)
-                    if use_control:
+                            c_bar[sl] = np.mean(np.ascontiguousarray(control[:, sl]), axis=0)
+                    size = aggregate(theta, layout, role, participants, agg_w)
+                    if live_control:
                         for sl in slices:
-                            clients.snapshot[:, sl] = clients.params[:, sl]
+                            snapshot[:, sl] = theta[:, sl]
                     comm.record_sync(size, participants)
 
             if emit:
                 train = test = gap = None
                 pcr = None
                 if roles_due and risk_every_sync:
-                    avg = _uniform_average(clients)
+                    avg = _uniform_average(theta, layout)
                     train = empirical_risk(model, avg, shards, w)
                     if pop_source is not None:
                         test = population_risk_estimate(model, avg, pop_source, w)
@@ -497,8 +455,8 @@ def run_experiment(
                     on_record(r, step, rec)
 
     return RunResult(
-        final_params=_uniform_average(clients),
-        client_params=clients.param_vectors,
+        final_params=_uniform_average(theta, layout),
+        client_params=[ParamVector(row, layout) for row in theta],
         records=records,
         comm=comm,
         layout=layout,

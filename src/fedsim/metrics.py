@@ -23,7 +23,7 @@ from .models import (
     sample_losses,
     stack_rows,
 )
-from .params import ParamVector
+from .params import BlockLayout, ParamVector, weighted_average
 
 
 @dataclass
@@ -92,11 +92,7 @@ def empirical_risk(
     if abs(float(np.sum(np.asarray(weights, dtype=np.float64))) - 1.0) > 1e-12:
         raise ValueError("client weights must sum to 1.")
     # anchored form: identical shard risks collapse to the first value exactly
-    risks = shard_risks(model, params, shards)
-    total = risks[0]
-    for risk, w in zip(risks[1:], weights[1:]):
-        total += float(w) * (risk - risks[0])
-    return total
+    return float(weighted_average(shard_risks(model, params, shards), weights))
 
 
 def population_risk_estimate(
@@ -134,25 +130,21 @@ def population_risk_estimate(
     return total
 
 
-def consensus_map(client_params: Sequence[ParamVector]) -> dict[str, float]:
-    """Per-block mean squared distance of clients to their unweighted average.
+def consensus_map(theta: np.ndarray, layout: BlockLayout) -> dict[str, float]:
+    """Per-block mean squared distance of the rows of theta to their unweighted average.
 
-    (1/K) sum_k ||mean - theta_k||^2 over each block, in layout order, from
-    one stack and centre. The mean is always uniform, matching the drift
-    quantity the schedules control, even when evaluation weights are not.
+    (1/K) sum_k ||mean - theta_k||^2 over each block of the (K, P) client
+    matrix, in layout order, from one centre. The mean is always uniform,
+    matching the drift quantity the schedules control, even when evaluation
+    weights are not.
     """
-    if not client_params:
-        raise ValueError("need at least one client.")
-    layout = client_params[0].layout
-    for p in client_params[1:]:
-        if p.layout != layout:
-            raise ValueError("client vectors do not share a layout.")
-    stacked = np.stack([p.values for p in client_params])
-    center = np.mean(stacked, axis=0)
+    if theta.ndim != 2 or theta.shape[0] == 0 or theta.shape[1] != layout.total_params:
+        raise ValueError(f"theta has shape {theta.shape}, expected (K >= 1, {layout.total_params}).")
+    center = np.mean(theta, axis=0)
     out = {}
     for b in layout.blocks:
-        diff = stacked[:, b.slice] - center[b.slice]
-        out[b.name] = float(np.sum(diff * diff)) / stacked.shape[0]
+        diff = theta[:, b.slice] - center[b.slice]
+        out[b.name] = float(np.sum(diff * diff)) / theta.shape[0]
     return out
 
 

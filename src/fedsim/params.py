@@ -118,33 +118,26 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite entries.")
 
 
-def _check_common_layout(params: Sequence[ParamVector]) -> BlockLayout:
-    if not params:
-        raise ValueError("need at least one parameter vector.")
-    layout = params[0].layout
-    for p in params[1:]:
-        if p.layout != layout:
-            raise ValueError("parameter vectors do not share a layout.")
-    return layout
+def _rows_and_weights(rows, weights) -> tuple[np.ndarray, list[float]]:
+    rows = np.asarray(rows, dtype=np.float64)
+    w = [float(x) for x in weights]
+    if rows.ndim == 0 or rows.shape[0] == 0:
+        raise ValueError("need at least one row.")
+    if len(w) != rows.shape[0]:
+        raise ValueError(f"{rows.shape[0]} rows but {len(w)} weights.")
+    return rows, w
 
 
-def weighted_average(
-    params: Sequence[ParamVector],
-    weights: Sequence[float],
-    role_filter: Role | None = None,
-) -> ParamVector:
-    """Convex combination of parameter vectors on the selected blocks.
+def weighted_average(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """Convex combination of a stack of rows, over axis 0.
 
     Weights must be non-negative and sum to 1 within 1e-12; they are used as
-    given, never renormalized. Accumulation is anchored at the first input,
-    result = v0 + sum_k w_k * (v_k - v0), evaluated left to right, which makes
-    the average of K identical vectors return that vector bit for bit. Blocks
-    outside the role filter are copied unchanged from the first input.
+    given, never renormalized. Accumulation is anchored at the first row,
+    result = r0 + sum_k w_k * (r_k - r0), evaluated left to right, which makes
+    the average of K identical rows return that row bit for bit. Callers pick
+    blocks by slicing columns before the call.
     """
-    layout = _check_common_layout(params)
-    w = [float(x) for x in weights]
-    if len(w) != len(params):
-        raise ValueError(f"{len(params)} vectors but {len(w)} weights.")
+    rows, w = _rows_and_weights(rows, weights)
     total = 0.0
     for x in w:
         if not np.isfinite(x) or x < 0.0:
@@ -153,40 +146,28 @@ def weighted_average(
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}.")
 
-    base = params[0].values
+    base = rows[0]
     out = base.copy()
-    for sl in layout.role_slices(role_filter):
-        seg = out[sl]
-        for p, wk in zip(params[1:], w[1:]):
-            seg += wk * (p.values[sl] - base[sl])
+    for row, wk in zip(rows[1:], w[1:]):
+        out += wk * (row - base)
     _require_finite(out, "weighted average")
-    return ParamVector(out, layout)
+    return out
 
 
-def weighted_sum(
-    params: Sequence[ParamVector],
-    weights: Sequence[float],
-    role_filter: Role | None = None,
-) -> ParamVector:
-    """Plain linear combination sum_k w_k * v_k on the selected blocks.
+def weighted_sum(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """Plain linear combination sum_k w_k * r_k of a stack of rows, over axis 0.
 
     No constraint on the weight total (partial-participation estimators use
-    weights that only sum to 1 in expectation). Blocks outside the filter are
-    copied from the first input. Left-to-right accumulation in input order.
+    weights that only sum to 1 in expectation). Left-to-right accumulation in
+    row order.
     """
-    layout = _check_common_layout(params)
-    w = [float(x) for x in weights]
-    if len(w) != len(params):
-        raise ValueError(f"{len(params)} vectors but {len(w)} weights.")
+    rows, w = _rows_and_weights(rows, weights)
     for x in w:
         if not np.isfinite(x):
             raise ValueError("weights must be finite.")
 
-    out = params[0].values.copy()
-    for sl in layout.role_slices(role_filter):
-        seg = out[sl]
-        seg[:] = w[0] * params[0].values[sl]
-        for p, wk in zip(params[1:], w[1:]):
-            seg += wk * p.values[sl]
+    out = w[0] * rows[0]
+    for row, wk in zip(rows[1:], w[1:]):
+        out += wk * row
     _require_finite(out, "weighted sum")
-    return ParamVector(out, layout)
+    return out

@@ -21,7 +21,6 @@ from fedsim.data import GaussianLinear
 from fedsim.metrics import sample_losses
 from fedsim.models import (
     RidgeSpec,
-    build_layout,
     erm_closed_form,
     jacobi_eigenvalues,
     loss_and_grad,
@@ -44,6 +43,14 @@ def _config(**kw):
     return BoundTrialConfig(**args)
 
 
+def _anchored_loop(vectors, weights):
+    """v0 + sum_k w_k (v_k - v0), one vector at a time, left to right."""
+    out = vectors[0].copy()
+    for v, w in zip(vectors[1:], weights[1:]):
+        out += float(w) * (v - vectors[0])
+    return out
+
+
 def test_one_round_deterministic_and_aggregated():
     cfg = _config()
     data_a, _, locals_a, theta_a = one_round_fedavg_erm(cfg, range(4, 5))
@@ -52,9 +59,7 @@ def test_one_round_deterministic_and_aggregated():
     assert np.array_equal(data_a, data_b)
     _, _, _, theta_c = one_round_fedavg_erm(cfg, range(5, 6))
     assert not np.array_equal(theta_a, theta_c)
-    layout = build_layout(RidgeSpec(2, cfg.l2))
-    redo = weighted_average([ParamVector(v, layout) for v in locals_a[0]], cfg.weights)
-    assert np.array_equal(theta_a[0], redo.values)
+    assert np.array_equal(theta_a[0], _anchored_loop(locals_a[0], cfg.weights))
 
 
 def test_one_round_single_client_returns_local():
@@ -64,19 +69,19 @@ def test_one_round_single_client_returns_local():
 
 
 def test_one_round_block_rows_equal_single_trials():
-    # one block of trials equals one call per trial, and its aggregates equal
-    # weighted_average of each trial's locals, with non-uniform weights
+    # one block of trials equals one call per trial, and its stacked aggregates
+    # equal a 2-D weighted_average of each trial's (K, d) locals and the
+    # explicit anchored loop, with non-uniform weights
     cfg = _config(generator=_generator(spread=0.4), weights=np.array([0.5, 0.3, 0.2]))
     X, y, locals_, theta_hat = one_round_fedavg_erm(cfg, range(3, 10))
     assert X.shape == (7, 3, 30, 2) and y.shape == (7, 3, 30)
     assert locals_.shape == (7, 3, 2) and theta_hat.shape == (7, 2)
-    layout = build_layout(RidgeSpec(2, cfg.l2))
     for i, t in enumerate(range(3, 10)):
         parts = one_round_fedavg_erm(cfg, range(t, t + 1))
         for block_part, trial_part in zip((X, y, locals_, theta_hat), parts):
             assert np.array_equal(block_part[i], trial_part[0])
-        redo = weighted_average([ParamVector(v, layout) for v in locals_[i]], cfg.weights)
-        assert np.array_equal(theta_hat[i], redo.values)
+        assert np.array_equal(theta_hat[i], weighted_average(locals_[i], cfg.weights))
+        assert np.array_equal(theta_hat[i], _anchored_loop(locals_[i], cfg.weights))
 
 
 def test_sum_weight_cubes():
@@ -161,7 +166,8 @@ def _per_trial_reference(cfg):
             gen = streams.substream(cfg.seed, streams.TRIAL, t, k)
             data.append(spec.sample(cfg.n_per_client, k, gen))
         locals_ = [erm_closed_form(model, x, y) for x, y in data]
-        theta_hat = weighted_average(locals_, cfg.weights)
+        layout = locals_[0].layout
+        theta_hat = ParamVector(_anchored_loop([v.values for v in locals_], cfg.weights), layout)
         lhs_t = 0.0
         for k, ((x, y), local) in enumerate(zip(data, locals_)):
             law = (spec.covariance, spec.coef_for(k), spec.noise_std)

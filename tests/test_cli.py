@@ -233,6 +233,21 @@ def test_invalid_labels_exit_1_not_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: logistic labels must be -1 or +1" in err
     assert "divergence" not in err
+    assert not (tmp_path / "o" / "metrics.jsonl").exists()  # the first step checks labels
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_shard_too_small_for_a_round_exits_1_without_metrics(tmp_path, capsys, seed):
+    # a Dirichlet 0.1 split of 48 samples leaves some client fewer than
+    # tau * batch_size = 10; the engine rejects it before the first step
+    doc = _mlp_doc(clients=4, seed=seed)
+    doc["data"]["partition"] = {"mode": "dirichlet", "concentration": 0.1}
+    doc["schedule"]["batch_size"] = 5
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tau*batch_size = 10 exceeds the smallest shard"), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "o" / "metrics.jsonl").exists()
 
 
 @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])

@@ -108,33 +108,50 @@ def test_local_step_divergence_guard():
         local_sgd_step(model, c, [[1.0]], [0.0], eta=0.1)
 
 
-def _clients_with(values, lay):
-    return [ClientState(k, ParamVector(np.asarray(v, dtype=np.float64), lay)) for k, v in enumerate(values)]
-
-
 def test_aggregate_identical_clients_fixed_point():
     lay = layout_from_sizes([("phi", 2, Role.REPRESENTATION), ("h", 2, Role.HEAD)])
     v = np.array([0.1, 0.2, 0.3, 0.7])
-    clients = _clients_with([v, v, v], lay)
-    aggregate(clients, lay, Role.HEAD, np.arange(3), np.full(3, 1.0 / 3.0))
-    for c in clients:
-        assert np.array_equal(c.params.values, v)
+    theta = np.tile(v, (3, 1))
+    aggregate(theta, lay, Role.HEAD, np.arange(3), np.full(3, 1.0 / 3.0))
+    for row in theta:
+        assert np.array_equal(row, v)
 
 
 def test_aggregate_head_only_touches_head():
-    lay = layout_from_sizes([("phi", 1, Role.REPRESENTATION), ("h", 1, Role.HEAD)])
-    clients = _clients_with([[5.0, 0.0], [7.0, 2.0]], lay)
-    size = aggregate(clients, lay, Role.HEAD, np.arange(2), np.array([0.5, 0.5]))
-    assert size == 1
-    assert np.array_equal(clients[0].params.values, [5.0, 1.0])
-    assert np.array_equal(clients[1].params.values, [7.0, 1.0])
+    # two head blocks around a representation block: only the head columns
+    # change, and the representation columns keep every row's own bits
+    lay = layout_from_sizes(
+        [("h0", 2, Role.HEAD), ("phi", 3, Role.REPRESENTATION), ("h1", 2, Role.HEAD)]
+    )
+    theta = np.random.default_rng(2).standard_normal((3, 7))
+    before = theta.copy()
+    w = np.array([0.2, 0.3, 0.5])
+    size = aggregate(theta, lay, Role.HEAD, np.arange(3), w)
+    assert size == 4
+    assert np.array_equal(theta[:, 2:5], before[:, 2:5])
+    for sl in (slice(0, 2), slice(5, 7)):
+        want = before[0, sl] + w[1] * (before[1, sl] - before[0, sl])
+        want += w[2] * (before[2, sl] - before[0, sl])
+        for row in theta:
+            assert np.array_equal(row[sl], want)
+    assert not np.array_equal(theta[:, 5:], before[:, 5:])
 
 
 def test_aggregate_degenerate_weights_propagate():
     lay = layout_from_sizes([("h", 2, Role.HEAD)])
-    clients = _clients_with([[1.0, 2.0], [9.0, 9.0]], lay)
-    aggregate(clients, lay, Role.HEAD, np.arange(2), np.array([1.0, 0.0]))
-    assert np.array_equal(clients[1].params.values, [1.0, 2.0])
+    theta = np.array([[1.0, 2.0], [9.0, 9.0]])
+    aggregate(theta, lay, Role.HEAD, np.arange(2), np.array([1.0, 0.0]))
+    assert np.array_equal(theta[1], [1.0, 2.0])
+
+
+def test_aggregate_sampled_participants_weighted_sum():
+    # weights that do not sum to 1 take the plain weighted sum; a client drawn
+    # twice counts twice, and non-participants receive the broadcast too
+    lay = layout_from_sizes([("phi", 1, Role.REPRESENTATION), ("h", 1, Role.HEAD)])
+    theta = np.array([[5.0, 1.0], [7.0, 2.0], [0.0, 4.0]])
+    size = aggregate(theta, lay, Role.HEAD, np.array([1, 1, 2]), np.array([0.5, 0.5, 0.25]))
+    assert size == 1
+    assert np.array_equal(theta, [[5.0, 3.0], [7.0, 3.0], [0.0, 3.0]])
 
 
 def test_scaffold_control_update_telescopes_to_mean_gradient():
@@ -356,12 +373,16 @@ def test_determinism_same_seed_bitwise():
     assert not np.array_equal(a.final_params.values, c.final_params.values)
 
 
+def _client_matrix(run):
+    return np.stack([p.values for p in run.client_params])
+
+
 def test_full_sync_zeroes_consensus():
     model, shards = _mlp_task()
     # rounds * tau divisible by alpha * tau, so the last step is a full sync
     sched = ScheduleSpec(tau=3, eta=0.05, rounds=4, batch_size=10, alpha=2)
     run = run_experiment("fedals", model, shards, sched, seed=10, representation_layers=1)
-    assert sum(consensus_map(run.client_params).values()) <= 1e-20
+    assert sum(consensus_map(_client_matrix(run), run.layout).values()) <= 1e-20
     # return value equals the last broadcast bit for bit
     assert np.array_equal(run.final_params.values, run.client_params[0].values)
 
@@ -371,7 +392,7 @@ def test_head_only_sync_leaves_representation_drift():
     # final step syncs the head only (9 % 6 != 0)
     sched = ScheduleSpec(tau=3, eta=0.05, rounds=3, batch_size=10, alpha=2)
     run = run_experiment("fedals", model, shards, sched, seed=10, representation_layers=1)
-    post = consensus_map(run.client_params)
+    post = consensus_map(_client_matrix(run), run.layout)
     assert post["layer0"] > 0.0
     head_names = [b.name for b in run.layout.blocks if b.role == Role.HEAD]
     for name in head_names:

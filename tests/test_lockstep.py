@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedsim import engine, models
 from fedsim import rng as streams
 from fedsim.data import DatasetShard, GaussianClusters, draw_round_batches, generate
-from fedsim.engine import ClientStack, ClientState, DivergenceError, ScheduleSpec, local_sgd_step
+from fedsim.engine import ClientState, DivergenceError, ScheduleSpec, local_sgd_step
 from fedsim.metrics import population_risk_estimate, sample_losses, shard_risks
 from fedsim.models import (
     LogisticL2Spec,
@@ -91,30 +91,30 @@ def test_lockstep_step_equals_single_client_steps():
     correction = np.random.default_rng(8).standard_normal(theta.shape) * 0.01
     layout = build_layout(model)
     singles = [ClientState(k, ParamVector(theta[k].copy(), layout)) for k in range(6)]
-    stack = ClientStack(theta.copy(), layout)
+    stack = theta.copy()
+    views = [ClientState(k, ParamVector(stack[k], layout)) for k in range(6)]
     losses = local_sgd_step(model, stack, X, y, 0.1, correction)
     for k, c in enumerate(singles):
         assert local_sgd_step(model, c, X[k], y[k], 0.1, correction[k]) == losses[k]
-        assert np.array_equal(c.params.values, stack.params[k])
-        assert np.array_equal(stack.rows[k].params.values, stack.params[k])  # row views stay live
+        assert np.array_equal(c.params.values, stack[k])
+        assert np.array_equal(views[k].params.values, stack[k])  # row views stay live
 
 
 def test_lockstep_divergence_names_the_lowest_failing_client():
     model = RidgeSpec(input_dim=1)
-    layout = build_layout(model)
     y = np.zeros((3, 2))
     # client 1's loss exceeds the guard, client 2's overflows to inf
     X = np.array([1.0, 1e7, 1e300])[:, None, None] * np.ones((3, 2, 1))
     with np.errstate(over="ignore"), pytest.raises(
         DivergenceError, match=r"^client 1 loss .* exceeds 1e\+12\.$"
     ) as info:
-        local_sgd_step(model, ClientStack(np.ones((3, 1)), layout), X, y, 0.1)
+        local_sgd_step(model, np.ones((3, 1)), X, y, 0.1)
     assert info.value.client == 1
     X[1] = 1.0
     with np.errstate(over="ignore"), pytest.raises(
         DivergenceError, match=r"^loss is non-finite\.$"
     ) as info:
-        local_sgd_step(model, ClientStack(np.ones((3, 1)), layout), X, y, 0.1)
+        local_sgd_step(model, np.ones((3, 1)), X, y, 0.1)
     assert info.value.client == 2
 
 
@@ -129,10 +129,10 @@ def test_engine_trajectory_to_first_sync_equals_local_steps(algorithm, monkeypat
     seen = []
     real = engine.aggregate
 
-    def capture(clients, layout, role, participants, agg_weights):
+    def capture(theta, layout, role, participants, agg_weights):
         if not seen:
-            seen.append(np.stack([c.params.values for c in clients]))
-        return real(clients, layout, role, participants, agg_weights)
+            seen.append(theta.copy())
+        return real(theta, layout, role, participants, agg_weights)
 
     monkeypatch.setattr(engine, "aggregate", capture)
     seed = 9
@@ -184,17 +184,16 @@ def test_chunked_step_equals_unchunked_step(monkeypatch):
     model = _model("mlp_relu", 6, 0.05, (40,), 5)
     theta, X, y = _stack(model, 64, 5, 11)
     correction = np.random.default_rng(12).standard_normal(theta.shape) * 0.01
-    layout = build_layout(model)
     monkeypatch.setattr(models, "STACK_ELEMENTS", 1 << 40)
-    whole = ClientStack(theta.copy(), layout)
+    whole = theta.copy()
     whole_losses = local_sgd_step(model, whole, X, y, 0.1, correction)
     whole_samples = sample_losses(model, theta, X, y)
     # a row of 5 samples: 5 * (2 * sum of widths + the 6 x 40 gradient product)
     monkeypatch.setattr(models, "STACK_ELEMENTS", 3 * 5 * (2 * (6 + 40 + 5) + 6 * 40))
     assert stack_rows(model, 5, True) == 3
-    chunked = ClientStack(theta.copy(), layout)
+    chunked = theta.copy()
     assert np.array_equal(local_sgd_step(model, chunked, X, y, 0.1, correction), whole_losses)
-    assert np.array_equal(chunked.params, whole.params)
+    assert np.array_equal(chunked, whole)
     assert np.array_equal(sample_losses(model, theta, X, y), whole_samples)
     _assert_rows_match_single_calls(model, theta, X, y)
 

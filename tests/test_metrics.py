@@ -136,35 +136,32 @@ def test_population_risk_holdout_route():
 
 def test_consensus_hand_case():
     lay = layout_from_sizes([("h", 1, Role.HEAD)])
-    a = ParamVector(np.array([0.0]), lay)
-    b = ParamVector(np.array([2.0]), lay)
-    assert consensus_map([a, b]) == {"h": 1.0}
-    assert consensus_map([a, a]) == {"h": 0.0}
+    assert consensus_map(np.array([[0.0], [2.0]]), lay) == {"h": 1.0}
+    assert consensus_map(np.array([[0.0], [0.0]]), lay) == {"h": 0.0}
 
 
 def test_consensus_homogeneity_and_additivity():
     lay = layout_from_sizes([("phi", 3, Role.REPRESENTATION), ("h", 2, Role.HEAD)])
-    rng = np.random.default_rng(8)
-    params = [ParamVector(rng.standard_normal(5), lay) for _ in range(4)]
-    per_block = consensus_map(params)
+    theta = np.random.default_rng(8).standard_normal((4, 5))
+    per_block = consensus_map(theta, lay)
     assert list(per_block) == ["phi", "h"]
-    scaled = consensus_map([ParamVector(3.0 * p.values, lay) for p in params])
+    scaled = consensus_map(3.0 * theta, lay)
     for name, base in per_block.items():
         assert scaled[name] == pytest.approx(9.0 * base, rel=1e-12)
     # the blocks split the whole-vector distance
     whole = layout_from_sizes([("all", 5, Role.HEAD)])
-    total = consensus_map([ParamVector(p.values, whole) for p in params])["all"]
+    total = consensus_map(theta, whole)["all"]
     assert sum(per_block.values()) == pytest.approx(total, rel=1e-12)
 
 
 def test_consensus_validation():
     lay = layout_from_sizes([("h", 1, Role.HEAD)])
-    other = layout_from_sizes([("g", 1, Role.HEAD)])
-    a = ParamVector(np.array([0.0]), lay)
-    with pytest.raises(ValueError, match="at least one"):
-        consensus_map([])
-    with pytest.raises(ValueError, match="layout"):
-        consensus_map([a, ParamVector(np.array([0.0]), other)])
+    with pytest.raises(ValueError, match="K >= 1"):
+        consensus_map(np.empty((0, 1)), lay)
+    with pytest.raises(ValueError, match="expected"):
+        consensus_map(np.zeros((2, 2)), lay)
+    with pytest.raises(ValueError, match="expected"):
+        consensus_map(np.zeros(1), lay)
 
 
 def test_accuracy_hand_cases():
