@@ -101,8 +101,21 @@ def test_weighted_average_combines_over_axis_0_in_anchored_order():
         assert np.array_equal(weighted_average(rows[:, t], w), out[t])
 
 
+def test_weighted_average_role_filter_copies_other_blocks_bitwise():
+    # averaging only the head columns, picked by the layout's role slices,
+    # leaves the representation block with the anchor row's own bits
+    rng = np.random.default_rng(2)
+    lay = _layout(("phi", 4, Role.REPRESENTATION), ("h", 3, Role.HEAD))
+    rows = rng.standard_normal((3, lay.total_params))
+    out = rows[0].copy()
+    for sl in lay.role_slices(Role.HEAD):
+        out[sl] = weighted_average(rows[:, sl], [0.2, 0.3, 0.5])
+    assert np.array_equal(out[:4], rows[0, :4])
+    assert not np.array_equal(out[4:], rows[0, 4:])
+
+
 def test_weighted_average_validates_weights():
-    rows = np.array([[1.0, 2.0], [1.0, 2.0]])
+    rows =np.array([[1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(ValueError):
         weighted_average(rows, [0.6, 0.6])
     with pytest.raises(ValueError):
