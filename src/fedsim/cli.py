@@ -34,7 +34,7 @@ from .config import (
     load_config,
     parse_config,
 )
-from .engine import DivergenceError, comm_closed_form, run_experiment
+from .engine import DivergenceError, RunSpec, comm_closed_form, run_experiment, run_experiments
 from .metrics import accuracy, consensus_map, empirical_risk, population_risk_estimate
 from .models import RidgeSpec, build_layout
 
@@ -58,6 +58,19 @@ def _csv_writer(fh, prov: dict):
     return csv.writer(fh)
 
 
+def _run_options(cfg: ExperimentConfig, cadence=None) -> dict:
+    """The engine options of a config that every run of it shares."""
+    return {
+        "representation_layers": cfg.representation_layers,
+        "weights": cfg.weights,
+        "participation": cfg.participation_spec(),
+        "batches_with_replacement": cfg.canonical["data"]["batches_with_replacement"],
+        "consensus_every": cfg.cadence if cadence is None else cadence,
+        "risk_every_sync": cfg.risks_at_sync,
+        "per_client_risks": cfg.per_client_risks,
+    }
+
+
 def _execute(
     cfg: ExperimentConfig, seed: int, shards, pop_source, *, cadence=None, on_record=None
 ):
@@ -69,15 +82,9 @@ def _execute(
         shards,
         cfg.schedule_spec(),
         seed=seed,
-        representation_layers=cfg.representation_layers,
-        weights=cfg.weights,
-        participation=cfg.participation_spec(),
-        batches_with_replacement=cfg.canonical["data"]["batches_with_replacement"],
         pop_source=pop_source,
-        consensus_every=cfg.cadence if cadence is None else cadence,
-        risk_every_sync=cfg.risks_at_sync,
-        per_client_risks=cfg.per_client_risks,
         on_record=on_record,
+        **_run_options(cfg, cadence),
     )
     return model, result
 
@@ -189,25 +196,62 @@ def parse_grid(spec: str) -> list[tuple[str, list]]:
     return axes
 
 
+def _seeds_in_lockstep(cfg, seeds) -> list[dict]:
+    """The final metrics of each seed, from one stack of all the seeds' runs."""
+    data = [build_shards(cfg, seed) for seed in seeds]
+    model = cfg.model_spec()
+    results = run_experiments(
+        cfg.algorithm,
+        model,
+        cfg.schedule_spec(),
+        [RunSpec(shards, seed, pop_source) for seed, (shards, pop_source) in zip(seeds, data)],
+        **_run_options(cfg, 0),
+    )
+    return [
+        _final_metrics(cfg, model, shards, pop_source, result)
+        for (shards, pop_source), result in zip(data, results)
+    ]
+
+
+def _seed_alone(cfg, canonical, seed) -> dict:
+    shards, pop_source = build_shards(cfg, seed)
+    try:
+        model, result = _execute(cfg, seed, shards, pop_source, cadence=0)
+    except DivergenceError as exc:
+        point = "alpha={alpha} tau={tau} eta={eta!r}".format(**canonical["schedule"])
+        raise DivergenceError(f"{point} seed={seed}: {exc}", exc.client) from exc
+    return _final_metrics(cfg, model, shards, pop_source, result)
+
+
 def _sweep_point(payload):
-    """Run one grid point (all its seeds); module-level so workers can pickle it."""
+    """Run one grid point (all its seeds); module-level so workers can pickle it.
+
+    The seeds step together in one stack. If the stack raises anything, the
+    seeds run again one at a time, each building its shards and then
+    training, so a failing point exits as the first failing seed alone does.
+    """
     canonical, seeds = payload
     cfg = parse_config(canonical)
-    trains, tests, accs = [], [], []
-    for seed in seeds:
-        shards, pop_source = build_shards(cfg, seed)
+    finals = None
+    if len(seeds) > 1:
         try:
-            model, result = _execute(cfg, seed, shards, pop_source, cadence=0)
-        except DivergenceError as exc:
-            point = "alpha={alpha} tau={tau} eta={eta!r}".format(**canonical["schedule"])
-            raise DivergenceError(f"{point} seed={seed}: {exc}", exc.client) from exc
-        final = _final_metrics(cfg, model, shards, pop_source, result)
-        trains.append(final["final_train_risk"])
-        tests.append(final["final_test_risk"])
-        accs.append(final["accuracy"])
+            finals = _seeds_in_lockstep(cfg, seeds)
+        except Exception:
+            # the lone runs below raise the error to report, or recover from
+            # one that only the stack met, such as a larger allocation failing
+            pass
+    if finals is None:
+        finals = [_seed_alone(cfg, canonical, seed) for seed in seeds]
     layout = build_layout(cfg.model_spec(), cfg.representation_layers)
-    comm = comm_closed_form(cfg.schedule_spec(), layout)
-    return trains, tests, accs, comm, result.steps
+    schedule = cfg.schedule_spec()
+    comm = comm_closed_form(schedule, layout)
+    return (
+        [f["final_train_risk"] for f in finals],
+        [f["final_test_risk"] for f in finals],
+        [f["accuracy"] for f in finals],
+        comm,
+        schedule.total_steps,
+    )
 
 
 def _mean_std(values) -> tuple[float | None, float | None]:
@@ -219,7 +263,16 @@ def _mean_std(values) -> tuple[float | None, float | None]:
     return mean, std
 
 
+def _workers() -> int:
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}.") from None
+
+
 def cmd_sweep(args) -> int:
+    workers = _workers()
     cfg = load_config(args.config)
     if args.seed is not None:
         base_seeds = [args.seed]
@@ -241,8 +294,9 @@ def cmd_sweep(args) -> int:
         parse_config(canonical)  # re-validate the overridden config
         points.append((overrides, canonical, seeds))
 
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     payloads = [(canonical, seeds) for _, canonical, seeds in points]
+    # a fork pool starts all its processes at once: no more than there are points
+    workers = min(workers, len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, payloads))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as streams
-from .bounds import BoundTrialConfig
+from .bounds import MIN_TRIALS, BoundTrialConfig
 from .data import (
     DatasetShard,
     GaussianClusters,
@@ -624,7 +624,10 @@ def parse_bound_config(doc: dict) -> dict:
             )
         out["identities"] = {
             "num_sampled": list(sampled),
-            "draws": _as_int(ident, "draws", "bound config.identities", default=100000, minimum=2),
+            # a 3-sigma check on fewer draws than the theorem check's trials means nothing
+            "draws": _as_int(
+                ident, "draws", "bound config.identities", default=100000, minimum=MIN_TRIALS
+            ),
         }
     else:
         out["identities"] = None

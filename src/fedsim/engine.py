@@ -6,9 +6,11 @@ algorithms pin alpha to 1 so that every block syncs each round, and the
 control-variate algorithms add a drift correction to each local step. The
 loop is lockstep: the K clients' parameters, controls and snapshots are rows
 of (K, P) matrices, and one stacked loss_and_grad call advances every client
-by a local step, bit for bit as K single-client steps would. Every random draw
-comes from a stream keyed by (seed, purpose, client, round), so results do not
-depend on evaluation order or worker count.
+by a local step, bit for bit as K single-client steps would. G runs of one
+config, such as a sweep point's seeds, can share the loop as row blocks of
+(G*K, P) matrices. Every random draw comes from a stream keyed by (seed,
+purpose, client, round), so results do not depend on evaluation order, stack
+or worker count.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .metrics import (
     MetricsRecord,
     consensus_map,
     empirical_risk,
+    pooled,
     population_risk_estimate,
     shard_risks,
 )
@@ -305,6 +308,16 @@ def _uniform_average(theta: np.ndarray, layout: BlockLayout) -> ParamVector:
     return ParamVector(weighted_average(theta, [1.0 / k] * k), layout)
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """What one run of a stack owns: its shards, seed, population source and record callback."""
+
+    shards: Sequence[DatasetShard]
+    seed: int = 0
+    pop_source: object = None
+    on_record: Callable[[int, int, MetricsRecord], None] | None = None
+
+
 def run_experiment(
     algorithm: str,
     model: ModelSpec,
@@ -312,16 +325,9 @@ def run_experiment(
     schedule: ScheduleSpec,
     *,
     seed: int = 0,
-    representation_layers: int = 0,
-    weights: Sequence[float] | None = None,
-    participation: ParticipationSpec = FULL_PARTICIPATION,
-    pin_control: bool = False,
-    batches_with_replacement: bool = False,
     pop_source=None,
-    consensus_every: int = 1,
-    risk_every_sync: bool = True,
-    per_client_risks: bool = False,
     on_record: Callable[[int, int, MetricsRecord], None] | None = None,
+    **options,
 ) -> RunResult:
     """Run one federated experiment and return its models, records and traffic.
 
@@ -329,15 +335,50 @@ def run_experiment(
     the last step synced every role (rounds*tau divisible by alpha*tau) this
     equals the last broadcast bit for bit. pop_source feeds the test risk
     through population_risk_estimate: a GaussianLinear spec with a ridge model
-    (exact closed form) or a list of held-out shards.
+    (exact closed form) or a list of held-out shards. This is the one-run
+    stack of run_experiments, which takes the options.
+    """
+    run = RunSpec(shards, seed, pop_source, on_record)
+    return run_experiments(algorithm, model, schedule, [run], **options)[0]
+
+
+def run_experiments(
+    algorithm: str,
+    model: ModelSpec,
+    schedule: ScheduleSpec,
+    runs: Sequence[RunSpec],
+    *,
+    representation_layers: int = 0,
+    weights: Sequence[float] | None = None,
+    participation: ParticipationSpec = FULL_PARTICIPATION,
+    pin_control: bool = False,
+    batches_with_replacement: bool = False,
+    consensus_every: int = 1,
+    risk_every_sync: bool = True,
+    per_client_risks: bool = False,
+) -> list[RunResult]:
+    """Run G experiments of one config in lockstep; one RunResult per run, in order.
+
+    The runs share everything but their RunSpec, and need the same number
+    of clients. Their client states are the row blocks of one (G*K, P)
+    matrix, so one stacked step advances every client of every run; batch
+    draws, participation, syncs, control updates, risks and records stay per
+    run, each on its own block and from its own seed's streams. So each run
+    equals its own run_experiment bit for bit. A failure in any run stops the
+    stack; with G > 1 a divergence names the run by its index, and the text
+    after the client names the row of the whole stack.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}.")
     if algorithm in PERIOD_ALGORITHMS and schedule.alpha != 1:
         raise ValueError(f"{algorithm} has a single period; set alpha = 1.")
-    num_clients = len(shards)
+    if not runs:
+        raise ValueError("need at least one run.")
+    num_clients = len(runs[0].shards)
     if num_clients < 1:
         raise ValueError("need at least one client shard.")
+    if any(len(run.shards) != num_clients for run in runs):
+        raise ValueError("every run of a stack needs the same number of clients.")
 
     layout = build_layout(model, representation_layers)
     if algorithm in ("fedals", "fedals_scaffold"):
@@ -357,51 +398,64 @@ def run_experiment(
         raise ValueError("without_replacement cannot sample more clients than exist.")
 
     if not batches_with_replacement:
-        smallest = min(s.n for s in shards)
-        if schedule.tau * schedule.batch_size > smallest:
-            raise ValueError(
-                f"tau*batch_size = {schedule.tau * schedule.batch_size} exceeds the smallest "
-                f"shard ({smallest}): config violates the without-replacement sampling model."
-            )
+        for run in runs:
+            smallest = min(s.n for s in run.shards)
+            if schedule.tau * schedule.batch_size > smallest:
+                raise ValueError(
+                    f"tau*batch_size = {schedule.tau * schedule.batch_size} exceeds the smallest "
+                    f"shard ({smallest}): config violates the without-replacement sampling model."
+                )
 
-    # row k of each (K, P) matrix is client k; the matrices are only updated in place
-    theta0 = init_params(model, layout, streams.substream(seed, streams.INIT))
-    theta = np.tile(theta0.values, (num_clients, 1))
+    # rows g*K to (g+1)*K of each (G*K, P) matrix are run g's clients, and
+    # blocks[g] selects them; the matrices are only updated in place
+    num_runs, p = len(runs), layout.total_params
+    blocks = [slice(g * num_clients, (g + 1) * num_clients) for g in range(num_runs)]
+    inits = [init_params(model, layout, streams.substream(run.seed, streams.INIT)) for run in runs]
+    theta = np.repeat(np.stack([v.values for v in inits]), num_clients, axis=0)
     live_control = algorithm in CONTROL_ALGORITHMS and not pin_control
     if live_control:
         control = np.zeros_like(theta)
         snapshot = theta.copy()
-        c_bar = np.zeros(layout.total_params)
+        c_bar = np.zeros((num_runs, p))
         # one-row views for scaffold_control_update; they write through to the matrices
+        state = (theta, control, snapshot)
         clients = [
-            ClientState(k, *(ParamVector(m[k], layout) for m in (theta, control, snapshot)))
-            for k in range(num_clients)
+            ClientState(i % num_clients, *(ParamVector(m[i], layout) for m in state))
+            for i in range(theta.shape[0])
         ]
 
-    comm = CommCounter.zeros(num_clients)
-    records: list[MetricsRecord] = []
+    comms = [CommCounter.zeros(num_clients) for _ in runs]
+    records: list[list[MetricsRecord]] = [[] for _ in runs]
+    # each run's risk data, laid end to end once for the whole run
+    if risk_every_sync:
+        pools = [(pooled(run.shards), pooled(run.pop_source)) for run in runs]
     draw = draw_round_batches_with_replacement if batches_with_replacement else draw_round_batches
+    tau, eta, batch_size = schedule.tau, schedule.eta, schedule.batch_size
     step = 0
 
     for r in range(1, schedule.rounds + 1):
+        owners = [(run, k) for run in runs for k in range(num_clients)]
         batches = [
-            draw(shards[k], schedule.tau, schedule.batch_size, streams.substream(seed, streams.BATCH, k, r))
-            for k in range(num_clients)
+            draw(run.shards[k], tau, batch_size, streams.substream(run.seed, streams.BATCH, k, r))
+            for run, k in owners
         ]
-        # (K, tau, b, d) and (K, tau, b): step t reads every client's batch at once
-        round_X = np.stack([shards[k].X[batches[k]] for k in range(num_clients)])
-        round_y = np.stack([shards[k].y[batches[k]] for k in range(num_clients)])
-        sync_gen = streams.substream(seed, streams.PARTICIPATION, r)
+        # (G*K, tau, b, d) and (G*K, tau, b): step t reads every client's batch at once
+        round_X = np.stack([run.shards[k].X[idx] for (run, k), idx in zip(owners, batches)])
+        round_y = np.stack([run.shards[k].y[idx] for (run, k), idx in zip(owners, batches)])
+        sync_gens = [streams.substream(run.seed, streams.PARTICIPATION, r) for run in runs]
 
-        for t in range(schedule.tau):
+        for t in range(tau):
             step += 1
-            correction = c_bar - control if live_control else None
+            correction = None
+            if live_control:
+                per_run = c_bar[:, None, :] - control.reshape(num_runs, num_clients, p)
+                correction = per_run.reshape(theta.shape)
             try:
-                local_sgd_step(model, theta, round_X[:, t], round_y[:, t], schedule.eta, correction)
+                local_sgd_step(model, theta, round_X[:, t], round_y[:, t], eta, correction)
             except DivergenceError as exc:
-                raise DivergenceError(
-                    f"round {r} step {step} client {exc.client}: {exc}", exc.client
-                ) from exc
+                g, k = divmod(exc.client, num_clients)
+                where = f"run {g} " if num_runs > 1 else ""
+                raise DivergenceError(f"{where}round {r} step {step} client {k}: {exc}", k) from exc
 
             roles_due = [
                 role
@@ -409,56 +463,65 @@ def run_experiment(
                 if sync_due(step, role, schedule) and layout.role_size(role) > 0
             ]
             emit = bool(roles_due) or (consensus_every > 0 and step % consensus_every == 0)
-            cons = consensus_map(theta, layout) if emit else None
+            for g, (run, rows) in enumerate(zip(runs, blocks)):
+                th = theta[rows]
+                cons = consensus_map(th, layout) if emit else None
 
-            if roles_due:
-                participants, agg_w = sample_participants(participation, num_clients, w, sync_gen)
-                for role in roles_due:
-                    slices = layout.role_slices(role)
-                    if live_control:
-                        period = schedule.tau if role == Role.HEAD else schedule.alpha * schedule.tau
-                        old_bar = c_bar.copy()
-                        for c in clients:
-                            scaffold_control_update(c, old_bar, schedule.eta, period, slices)
-                        for sl in slices:
-                            # a contiguous copy reduces exactly as a stack of the rows
-                            c_bar[sl] = np.mean(np.ascontiguousarray(control[:, sl]), axis=0)
-                    size = aggregate(theta, layout, role, participants, agg_w)
-                    if live_control:
-                        for sl in slices:
-                            snapshot[:, sl] = theta[:, sl]
-                    comm.record_sync(size, participants)
+                if roles_due:
+                    participants, agg_w = sample_participants(
+                        participation, num_clients, w, sync_gens[g]
+                    )
+                    for role in roles_due:
+                        slices = layout.role_slices(role)
+                        if live_control:
+                            period = tau if role == Role.HEAD else schedule.alpha * tau
+                            old_bar = c_bar[g].copy()
+                            for c in clients[rows]:
+                                scaffold_control_update(c, old_bar, eta, period, slices)
+                            for sl in slices:
+                                # a contiguous copy reduces exactly as a stack of the rows
+                                block = np.ascontiguousarray(control[rows, sl])
+                                c_bar[g, sl] = np.mean(block, axis=0)
+                        size = aggregate(th, layout, role, participants, agg_w)
+                        if live_control:
+                            for sl in slices:
+                                snapshot[rows, sl] = th[:, sl]
+                        comms[g].record_sync(size, participants)
 
-            if emit:
-                train = test = gap = None
-                pcr = None
-                if roles_due and risk_every_sync:
-                    avg = _uniform_average(theta, layout)
-                    train = empirical_risk(model, avg, shards, w)
-                    if pop_source is not None:
-                        test = population_risk_estimate(model, avg, pop_source, w)
-                        gap = test - train
-                    if per_client_risks:
-                        pcr = shard_risks(model, avg, shards)
-                rec = MetricsRecord(
-                    round=r,
-                    step=step,
-                    train_risk=train,
-                    test_risk=test,
-                    gen_gap=gap,
-                    consensus=cons,
-                    comm_uploaded=comm.total_uploaded,
-                    per_client_risks=pcr,
-                )
-                records.append(rec)
-                if on_record is not None:
-                    on_record(r, step, rec)
+                if emit:
+                    train = test = gap = None
+                    pcr = None
+                    if roles_due and risk_every_sync:
+                        train_pool, test_pool = pools[g]
+                        avg = _uniform_average(th, layout)
+                        train = empirical_risk(model, avg, train_pool, w)
+                        if test_pool is not None:
+                            test = population_risk_estimate(model, avg, test_pool, w)
+                            gap = test - train
+                        if per_client_risks:
+                            pcr = shard_risks(model, avg, train_pool)
+                    rec = MetricsRecord(
+                        round=r,
+                        step=step,
+                        train_risk=train,
+                        test_risk=test,
+                        gen_gap=gap,
+                        consensus=cons,
+                        comm_uploaded=comms[g].total_uploaded,
+                        per_client_risks=pcr,
+                    )
+                    records[g].append(rec)
+                    if run.on_record is not None:
+                        run.on_record(r, step, rec)
 
-    return RunResult(
-        final_params=_uniform_average(theta, layout),
-        client_params=[ParamVector(row, layout) for row in theta],
-        records=records,
-        comm=comm,
-        layout=layout,
-        steps=step,
-    )
+    return [
+        RunResult(
+            final_params=_uniform_average(theta[rows], layout),
+            client_params=[ParamVector(row, layout) for row in theta[rows]],
+            records=records[g],
+            comm=comms[g],
+            layout=layout,
+            steps=step,
+        )
+        for g, rows in enumerate(blocks)
+    ]

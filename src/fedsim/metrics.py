@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DatasetShard, GaussianLinear
+from .data import GaussianLinear
 from .models import (
     ModelSpec,
     RidgeSpec,
@@ -21,7 +21,6 @@ from .models import (
     population_risk_closed_form,
     predict,
     sample_losses,
-    stack_rows,
 )
 from .params import BlockLayout, ParamVector, weighted_average
 
@@ -48,51 +47,54 @@ class MetricsRecord:
         return dict(vars(self))
 
 
-def _stacked_shards(model: ModelSpec, shards: Sequence[DatasetShard], params: ParamVector):
-    """Equal-size shards stacked for one call: (indices, theta, X, y) per chunk.
+@dataclass(frozen=True)
+class PooledShards:
+    """Shards laid end to end: X (N, d), y (N,), and each shard's sample count.
 
-    A chunk holds the shards that models.stack_rows lets one loss evaluation
-    take, at least one; theta repeats params once per shard without copying it.
+    A run pools its shards once, so that each sync evaluates all of them in
+    one pass without copying them again.
     """
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(shards):
-        groups.setdefault(s.n, []).append(i)
-    chunks = []
-    for n, members in groups.items():
-        per = stack_rows(model, n, need_grad=False)
-        chunks += [members[j : j + per] for j in range(0, len(members), per)]
-    for idx in chunks:
-        theta = np.broadcast_to(params.values, (len(idx), params.values.shape[0]))
-        X = np.stack([shards[i].X for i in idx])
-        y = np.stack([shards[i].y for i in idx])
-        yield idx, theta, X, y
+
+    X: np.ndarray
+    y: np.ndarray
+    sizes: tuple[int, ...]
 
 
-def shard_risks(model: ModelSpec, params: ParamVector, shards: Sequence[DatasetShard]) -> list[float]:
-    """Mean loss of params on each shard, as batch_loss per shard would give it."""
-    risks = [0.0] * len(shards)
-    for idx, theta, X, y in _stacked_shards(model, shards, params):
-        values = batch_loss(model, theta, X, y)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("loss is non-finite.")
-        for i, v in zip(idx, values):
-            risks[i] = float(v)
-    return risks
+def pooled(source):
+    """A sequence of DatasetShard as PooledShards; anything else as it is."""
+    if source is None or isinstance(source, (PooledShards, GaussianLinear)):
+        return source
+    shards = list(source)
+    return PooledShards(
+        np.concatenate([s.X for s in shards]),
+        np.concatenate([s.y for s in shards]),
+        tuple(s.n for s in shards),
+    )
+
+
+def shard_risks(model: ModelSpec, params: ParamVector, shards) -> list[float]:
+    """Mean loss of params on each shard, as batch_loss per shard would give it.
+
+    shards is a sequence of DatasetShard or their PooledShards.
+    """
+    pool = pooled(shards)
+    values = batch_loss(model, params, pool.X, pool.y, segments=pool.sizes)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("loss is non-finite.")
+    return [float(v) for v in values]
 
 
 def empirical_risk(
-    model: ModelSpec,
-    params: ParamVector,
-    shards: Sequence[DatasetShard],
-    weights: Sequence[float],
+    model: ModelSpec, params: ParamVector, shards, weights: Sequence[float]
 ) -> float:
     """Client-weighted empirical risk sum_k w_k * mean-loss(shard_k)."""
-    if len(shards) != len(weights):
+    pool = pooled(shards)
+    if len(pool.sizes) != len(weights):
         raise ValueError("one weight per shard required.")
     if abs(float(np.sum(np.asarray(weights, dtype=np.float64))) - 1.0) > 1e-12:
         raise ValueError("client weights must sum to 1.")
     # anchored form: identical shard risks collapse to the first value exactly
-    return float(weighted_average(shard_risks(model, params, shards), weights))
+    return float(weighted_average(shard_risks(model, params, pool), weights))
 
 
 def population_risk_estimate(
@@ -105,7 +107,7 @@ def population_risk_estimate(
 
     source selects the route:
       - GaussianLinear with a ridge model: exact closed form;
-      - a sequence of DatasetShard: held-out estimate.
+      - a sequence of DatasetShard, or their PooledShards: held-out estimate.
     """
     weights = [float(w) for w in weights]
     if isinstance(source, GaussianLinear):
@@ -117,16 +119,15 @@ def population_risk_estimate(
                 model, params, source.covariance, source.coef_for(k), source.noise_std
             )
         return total
-    shards = list(source)
-    if len(shards) != len(weights):
+    pool = pooled(source)
+    if len(pool.sizes) != len(weights):
         raise ValueError("one weight per holdout shard required.")
-    per_shard = [None] * len(shards)
-    for idx, theta, X, y in _stacked_shards(model, shards, params):
-        for i, losses in zip(idx, sample_losses(model, theta, X, y)):
-            per_shard[i] = losses
+    losses = sample_losses(model, params, pool.X, pool.y, segments=pool.sizes)
     total = 0.0
-    for w, losses in zip(weights, per_shard):
-        total += w * float(np.mean(losses))
+    lo = 0
+    for w, n in zip(weights, pool.sizes):
+        total += w * float(np.mean(losses[lo : lo + n]))
+        lo += n
     return total
 
 

@@ -195,6 +195,38 @@ def _halving_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, pads
 
 
+@lru_cache(maxsize=64)
+def _segments_plan(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Summand rows (2^(D+1), S), pad mask and batch sizes of the halving trees
+    of S consecutive segments of the given sizes, for one sum over all of them.
+
+    Segment s's plan fills the top of column s; the rest is padding, so the
+    deepest tree's levels run every column and a shallower tree's total only
+    gains -0.0 terms after it is complete (x + -0.0 is x). A one-sample
+    segment is summed as its 2-row duplicate, as the batch mean takes it.
+    """
+    plans = []
+    lo = 0
+    for n in sizes:
+        if n == 1:
+            plans.append((np.array([lo, lo]), np.empty(0, dtype=np.intp)))
+        else:
+            rows, pads = _halving_plan(n)
+            plans.append((rows + lo, pads))
+        lo += n
+    width = max(len(rows) for rows, _ in plans)
+    rows = np.zeros((width, len(sizes)), dtype=np.intp)
+    pads = np.ones((width, len(sizes)), dtype=bool)
+    for s, (r, p) in enumerate(plans):
+        rows[: len(r), s] = r
+        pads[: len(r), s] = False
+        pads[p, s] = True
+    counts = np.array([2 if n == 1 else n for n in sizes], dtype=np.float64)
+    for a in (rows, pads, counts):
+        a.flags.writeable = False  # shared through the cache
+    return rows, pads, counts
+
+
 def _halving_sum(a: np.ndarray):
     """Sum over axis 0 by recursive halving: S(A) = S(A[:n//2]) + S(A[n//2:]).
 
@@ -222,9 +254,9 @@ def _halving_sum(a: np.ndarray):
     return level[0]
 
 
-def _matvec(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _matvec(X: np.ndarray, theta: np.ndarray, mm=np.matmul) -> np.ndarray:
     """(K, b, d) @ (K, d) -> (K, b): one BLAS matrix-vector call per client."""
-    return np.matmul(X, theta[:, :, None])[:, :, 0]
+    return mm(X, theta[:, :, None])[:, :, 0]
 
 
 def _rowdot(theta: np.ndarray) -> np.ndarray:
@@ -234,20 +266,22 @@ def _rowdot(theta: np.ndarray) -> np.ndarray:
 
 # Each family evaluator takes theta (K, P), X (K, b, d) and y (K, b) and returns
 # the per-sample data losses (K, b) and, when need_grad is set, the batch-mean
-# data gradient (K, P), summed by halving along the sample axis.
+# data gradient (K, P), summed by halving along the sample axis. mm multiplies
+# the samples by the parameters in the forward pass; _segmented replaces it
+# to evaluate several shards laid end to end along the sample axis.
 
 
-def _ridge_eval(model, theta, X, y, need_grad):
-    r = _matvec(X, theta) - y
+def _ridge_eval(model, theta, X, y, need_grad, mm=np.matmul):
+    r = _matvec(X, theta, mm) - y
     grad = _halving_sum((X * r[:, :, None]).swapaxes(0, 1)) / X.shape[1] if need_grad else None
     return 0.5 * r * r, grad
 
 
-def _logistic_eval(model, theta, X, y, need_grad):
+def _logistic_eval(model, theta, X, y, need_grad, mm=np.matmul):
     if not np.all(np.abs(y) == 1):
         raise ValueError("logistic labels must be -1 or +1.")
     yf = y.astype(np.float64)
-    t = yf * _matvec(X, theta)
+    t = yf * _matvec(X, theta, mm)
     data = np.logaddexp(0.0, -t)
     if not need_grad:
         return data, None
@@ -272,7 +306,7 @@ def _mlp_views(model: MlpSpec, theta: np.ndarray):
     return views
 
 
-def _mlp_forward(model: MlpSpec, theta: np.ndarray, X: np.ndarray):
+def _mlp_forward(model: MlpSpec, theta: np.ndarray, X: np.ndarray, mm=np.matmul):
     """Layer inputs and pre-activations; the last pre-activation is the logits.
 
     One stacked matmul per layer: a BLAS call per client on its own matrices.
@@ -282,7 +316,7 @@ def _mlp_forward(model: MlpSpec, theta: np.ndarray, X: np.ndarray):
     pre = []
     a = X
     for i, (w, b) in enumerate(layers):
-        z = np.matmul(a, w) + b[:, None, :]
+        z = mm(a, w) + b[:, None, :]
         pre.append(z)
         if i < len(layers) - 1:
             a = np.maximum(z, 0.0) if model.activation == "relu" else np.tanh(z)
@@ -290,11 +324,11 @@ def _mlp_forward(model: MlpSpec, theta: np.ndarray, X: np.ndarray):
     return layers, acts, pre
 
 
-def _mlp_eval(model, theta, X, y, need_grad):
+def _mlp_eval(model, theta, X, y, need_grad, mm=np.matmul):
     labels = y.astype(np.int64)
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("class labels out of range.")
-    layers, acts, pre = _mlp_forward(model, theta, X)
+    layers, acts, pre = _mlp_forward(model, theta, X, mm)
     k, n = labels.shape
     picked = (np.arange(k)[:, None], np.arange(n), labels)  # each sample's own class
     logits = pre[-1]
@@ -329,8 +363,9 @@ _EVALS = {RidgeSpec: _ridge_eval, LogisticL2Spec: _logistic_eval, MlpSpec: _mlp_
 
 # Float64 elements the transient arrays of one stacked evaluation may hold. A
 # larger stack is evaluated in chunks of rows, written into one (K, P)
-# gradient; rows are independent, so chunking changes no bit. One row is never
-# split, so a row larger than the budget costs what a single-client call costs.
+# gradient; rows are independent, so chunking changes no bit. One row, or one
+# shard of a segmented evaluation, is never split, so a row larger than the
+# budget costs what a single-client call costs.
 STACK_ELEMENTS = 1 << 16
 
 
@@ -378,6 +413,69 @@ def _evaluate(model: ModelSpec, params, X, y, need_grad: bool):
     return value, grad
 
 
+def _segmented(sizes, duplicate_single: bool):
+    """A forward product for shards laid end to end along the sample axis.
+
+    BLAS gives a row different bits depending on where it falls in the row
+    tiling of its call, so a shard's samples must be multiplied in a call of
+    their own, as the shard alone would be; everything else in an evaluation
+    is element by element or per sample, and runs on all the shards at once.
+    A run of consecutive shards of one size is one stacked product, a call
+    per shard inside numpy. With duplicate_single a one-sample shard is
+    multiplied as its 2-row duplicate, as the batch mean evaluates it.
+    """
+    runs = []  # (first sample, shard size, shards)
+    lo = 0
+    for n in sizes:
+        if runs and runs[-1][1] == n:
+            runs[-1][2] += 1
+        else:
+            runs.append([lo, n, 1])
+        lo += n
+
+    def mm(a, b):
+        out = np.empty((1, a.shape[1], b.shape[2]))
+        for lo, n, m in runs:
+            part = a[0, lo : lo + n * m].reshape(m, n, a.shape[2])
+            dest = out[0, lo : lo + n * m].reshape(m, n, b.shape[2])
+            if n == 1 and duplicate_single:
+                dest[:] = np.matmul(np.concatenate([part, part], axis=1), b)[:, :1]
+            else:
+                np.matmul(part, b, out=dest)
+        return out
+
+    return mm
+
+
+def _segment_losses(model: ModelSpec, params: ParamVector, X, y, sizes, duplicate_single: bool):
+    """Parameter row (1, P) and per-sample data losses (N,) of params on the
+    shards of the given sizes laid end to end in X (N, d) and y (N,).
+
+    Consecutive whole shards are evaluated together, up to stack_rows(model, 1)
+    samples per call; a larger shard takes a call of its own.
+    """
+    if not isinstance(params, ParamVector):
+        raise ValueError("segments take one ParamVector.")
+    theta, X, y = _check_batch(model, params, X, y)
+    sizes = [int(n) for n in sizes]
+    if min(sizes, default=0) < 1 or sum(sizes) != X.shape[1]:
+        raise ValueError("segment sizes must be >= 1 and sum to the sample count.")
+    budget = stack_rows(model, 1, False)
+    evaluate = _EVALS[type(model)]
+    data = np.empty(X.shape[1])
+    lo = i = 0
+    while i < len(sizes):
+        j, hi = i + 1, lo + sizes[i]
+        while j < len(sizes) and hi + sizes[j] - lo <= budget:
+            hi += sizes[j]
+            j += 1
+        part = slice(lo, hi)
+        mm = _segmented(sizes[i:j], duplicate_single)
+        data[part] = evaluate(model, theta, X[:, part], y[:, part], False, mm)[0][0]
+        lo, i = hi, j
+    return theta, data
+
+
 # The public evaluators take either one ParamVector with one batch, X (b, d)
 # and y (b,), or a stacked (K, P) parameter matrix with one batch per row,
 # X (K, b, d) and y (K, b). A stacked call is one evaluation for all K rows;
@@ -385,6 +483,10 @@ def _evaluate(model: ModelSpec, params, X, y, need_grad: bool):
 # result is finite. A NaN result may differ in sign: numpy picks the sign of
 # the sum of two opposite-sign NaNs by the element's place in its loop. Stacked
 # results are returned unchecked, so the caller guards finiteness once.
+# batch_loss and sample_losses also take one ParamVector with several shards
+# laid end to end, X (N, d) and y (N,), and the sample count of each shard in
+# segments: one pass over all of them, equal to one call per shard bit for
+# bit, and also returned unchecked.
 
 
 def loss_and_grad(model: ModelSpec, params, X, y) -> LossEval:
@@ -402,8 +504,21 @@ def loss_and_grad(model: ModelSpec, params, X, y) -> LossEval:
     return LossEval(float(value[0]), ParamVector(grad[0], params.layout))
 
 
-def batch_loss(model: ModelSpec, params, X, y):
-    """Batch-mean loss only, by the same path as loss_and_grad: a float, or (K,) stacked."""
+def batch_loss(model: ModelSpec, params, X, y, segments=None):
+    """Batch-mean loss only, by the same path as loss_and_grad: a float, or (K,) stacked.
+
+    With segments, the (S,) means of the S shards, from one halving sum over
+    all of them.
+    """
+    if segments is not None:
+        sizes = tuple(int(n) for n in segments)
+        theta, data = _segment_losses(model, params, X, y, sizes, True)
+        rows, pads, counts = _segments_plan(sizes)
+        level = data[rows]
+        level[pads] = -0.0
+        while level.shape[0] > 1:
+            level = level[0::2] + level[1::2]
+        return level[0] / counts + 0.5 * model.l2 * _rowdot(theta)
     value, _ = _evaluate(model, params, X, y, False)
     if not isinstance(params, ParamVector):
         return value
@@ -412,13 +527,17 @@ def batch_loss(model: ModelSpec, params, X, y):
     return float(value[0])
 
 
-def sample_losses(model: ModelSpec, params, X, y) -> np.ndarray:
+def sample_losses(model: ModelSpec, params, X, y, segments=None) -> np.ndarray:
     """Per-sample losses, each including the l2 term so they average to the batch mean.
 
     params is a ParamVector with X (n, d), giving (n,), or a stacked (K, P)
     matrix with X (K, n, d), giving (K, n) from one call. Unlike the
-    batch mean, a one-sample batch is evaluated as it is.
+    batch mean, a one-sample batch is evaluated as it is. With segments,
+    X (N, d) holds the shards end to end and the result is (N,).
     """
+    if segments is not None:
+        theta, data = _segment_losses(model, params, X, y, segments, False)
+        return data + 0.5 * model.l2 * _rowdot(theta)
     theta, X, y = _check_batch(model, params, X, y)
     data, _ = _stacked_eval(model, theta, X, y, False)
     losses = data + (0.5 * model.l2 * _rowdot(theta))[:, None]

@@ -364,6 +364,111 @@ def test_sweep_rejects_invalid_grid_point(tmp_path):
     assert main(["sweep", cfg, "--grid", "alpha=1,5", "--out", str(tmp_path / "o")]) == 1
 
 
+def _two_seed_ridge_doc():
+    # alone, seed 2 finishes at eta=1.5 and seed 3 diverges in round 29
+    doc = _ridge_doc()
+    del doc["seed"]
+    doc["seeds"] = [2, 3]
+    doc["schedule"]["rounds"] = 30
+    return doc
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_diverging_seed_in_a_stack_exits_as_the_seed_alone(tmp_path, capsys, monkeypatch, workers):
+    doc = _two_seed_ridge_doc()
+    alone = dict(doc, seed=3, schedule=dict(doc["schedule"], eta=1.5))
+    del alone["seeds"]
+    assert main(["run", _write(tmp_path, alone, "alone.json"), "--out", str(tmp_path / "a")]) == 2
+    lone = capsys.readouterr().err
+    assert lone.startswith("divergence: round 29 step 58 client 0: "), lone
+    monkeypatch.setenv("FEDSIM_WORKERS", workers)
+    out = tmp_path / "o"
+    assert main(["sweep", _write(tmp_path, doc), "--grid", "eta=0.05,1.5", "--out", str(out)]) == 2
+    want = "divergence: alpha=1 tau=2 eta=1.5 seed=3: " + lone[len("divergence: "):]
+    assert capsys.readouterr().err == want
+    assert not (out / "sweep.csv").exists()
+
+
+def test_multi_seed_points_run_as_one_stack_and_fall_back_on_any_error(tmp_path, monkeypatch):
+    from fedsim import cli
+
+    doc = _two_seed_ridge_doc()
+    cfg = _write(tmp_path, doc)
+    sizes = []
+    real = cli.run_experiments
+
+    def counted(*args, **kwargs):
+        sizes.append(len(args[3]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiments", counted)
+    assert main(["sweep", cfg, "--grid", "eta=0.05,0.1", "--out", str(tmp_path / "s")]) == 0
+    assert sizes == [2, 2]
+    # a seed= axis gives one-seed points, which run alone
+    assert main(["sweep", cfg, "--grid", "seed=4,5", "--out", str(tmp_path / "t")]) == 0
+    assert sizes == [2, 2]
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("stack failed")
+
+    monkeypatch.setattr(cli, "run_experiments", broken)
+    assert main(["sweep", cfg, "--grid", "eta=0.05,0.1", "--out", str(tmp_path / "f")]) == 0
+    stacked = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    alone = (tmp_path / "f" / "sweep.csv").read_text().splitlines()
+    assert alone == stacked and len(alone) == 4
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers, grid, pool",
+    [("8", "eta=0.05,0.1", [2]), ("3", "eta=0.05,0.1,0.2,0.3", [3]), ("8", "eta=0.05", []),
+     ("1", "eta=0.05,0.1", []), ("0", "eta=0.05,0.1", []), ("-4", "eta=0.05,0.1", [])],
+)
+def test_sweep_pool_starts_no_more_workers_than_points(tmp_path, monkeypatch, workers, grid, pool):
+    from fedsim import cli
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setenv("FEDSIM_WORKERS", workers)
+    cfg = _write(tmp_path, _ridge_doc())
+    assert main(["sweep", cfg, "--grid", grid, "--out", str(tmp_path / "o")]) == 0
+    assert _RecordingPool.sizes == pool
+
+
+@pytest.mark.parametrize("value", ["abc", "2.0", ""])
+def test_sweep_rejects_a_non_integer_worker_count_before_any_output(
+    tmp_path, capsys, monkeypatch, value
+):
+    from fedsim import cli
+
+    built = []
+    monkeypatch.setattr(cli, "parse_config", lambda doc: built.append(doc))
+    monkeypatch.setenv("FEDSIM_WORKERS", value)
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, _ridge_doc())
+    assert main(["sweep", cfg, "--grid", "eta=0.05,0.1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: FEDSIM_WORKERS must be an integer, got {value!r}.\n"
+    assert built == [] and not out.exists()
+
+
 def _bound_doc(**overrides):
     doc = {
         "clients": 3,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim.bounds import MIN_TRIALS
 from fedsim.config import (
     ConfigError,
     build_bound_trial_config,
@@ -335,6 +336,17 @@ def test_bound_config_validation():
         parse_bound_config(dict(base, weights=[float("nan"), float("nan")]))
 
 
+@pytest.mark.parametrize("draws", [2, 99])
+def test_identity_draws_below_min_trials_are_a_config_error(draws):
+    # a 3-sigma check on a handful of draws means nothing: the floor is the
+    # theorem check's own MIN_TRIALS
+    base = {"clients": 2, "n_per_client": 20, "dim": 2, "l2": 0.5, "trials": 150, "seed": 4}
+    with pytest.raises(ConfigError, match=r"bound config\.identities\.draws must be >= 100\."):
+        parse_bound_config(dict(base, identities={"num_sampled": [2], "draws": draws}))
+    ident = parse_bound_config(dict(base, identities={"num_sampled": [2], "draws": MIN_TRIALS}))
+    assert ident["identities"]["draws"] == MIN_TRIALS == 100
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize(
     "law, where",
@@ -529,7 +541,7 @@ def _bound_docs(draw):
     if draw(st.booleans()):
         doc["identities"] = {
             "num_sampled": draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)),
-            "draws": draw(st.integers(2, 1000)),
+            "draws": draw(st.integers(100, 1000)),
         }
     return doc
 
