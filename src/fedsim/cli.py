@@ -15,6 +15,7 @@ import argparse
 import csv
 import itertools
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -35,7 +36,7 @@ from .config import (
     parse_config,
 )
 from .engine import DivergenceError, RunSpec, comm_closed_form, run_experiment, run_experiments
-from .metrics import accuracy, consensus_map, empirical_risk, population_risk_estimate
+from .metrics import accuracy, consensus_map, empirical_risk, pooled, population_risk_estimate
 from .models import RidgeSpec, build_layout
 
 WORKERS_ENV = "FEDSIM_WORKERS"
@@ -72,7 +73,14 @@ def _run_options(cfg: ExperimentConfig, cadence=None) -> dict:
 
 
 def _execute(
-    cfg: ExperimentConfig, seed: int, shards, pop_source, *, cadence=None, on_record=None
+    cfg: ExperimentConfig,
+    seed: int,
+    shards,
+    pop_source,
+    *,
+    cadence=None,
+    on_record=None,
+    overlap_risks=False,
 ):
     """Train on the (shards, pop_source) that config.build_shards gave for seed."""
     model = cfg.model_spec()
@@ -84,9 +92,19 @@ def _execute(
         seed=seed,
         pop_source=pop_source,
         on_record=on_record,
+        overlap_risks=overlap_risks,
         **_run_options(cfg, cadence),
     )
     return model, result
+
+
+def _can_overlap_risks() -> bool:
+    """Whether run may fork a helper for its sync risks: 2+ usable CPUs and fork."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and "fork" in multiprocessing.get_all_start_methods()
 
 
 def _final_metrics(cfg, model, shards, pop_source, result) -> dict:
@@ -96,9 +114,8 @@ def _final_metrics(cfg, model, shards, pop_source, result) -> dict:
     if pop_source is not None:
         test = population_risk_estimate(model, result.final_params, pop_source, w)
         if not isinstance(model, RidgeSpec):  # a GaussianLinear source serves ridge only
-            xs = np.vstack([s.X for s in pop_source])
-            ys = np.concatenate([s.y for s in pop_source])
-            acc = accuracy(model, result.final_params, xs, ys)
+            holdout = pooled(pop_source)
+            acc = accuracy(model, result.final_params, holdout.X, holdout.y)
     return {
         "final_train_risk": train,
         "final_test_risk": test,
@@ -133,7 +150,13 @@ def cmd_run(args) -> int:
 
     try:
         model, result = _execute(
-            cfg, seed, shards, pop_source, cadence=args.cadence, on_record=sink
+            cfg,
+            seed,
+            shards,
+            pop_source,
+            cadence=args.cadence,
+            on_record=sink,
+            overlap_risks=_can_overlap_risks(),
         )
     finally:
         if metrics_fh is not None:

@@ -18,7 +18,6 @@ import numpy as np
 from . import rng as streams
 from .bounds import MIN_TRIALS, BoundTrialConfig
 from .data import (
-    DatasetShard,
     GaussianClusters,
     GaussianLinear,
     generate,
@@ -27,6 +26,7 @@ from .data import (
     partition_dirichlet,
     partition_iid,
     partition_label_sorted,
+    stacked_shards,
 )
 from .engine import ALGORITHMS, PERIOD_ALGORITHMS, ParticipationSpec, ScheduleSpec
 from .models import LogisticL2Spec, MlpSpec, ModelSpec, RidgeSpec
@@ -565,10 +565,12 @@ def build_shards(cfg: ExperimentConfig, seed: int):
     if cfg.canonical["model"]["family"] == "ridge" and isinstance(source, GaussianLinear):
         pop_source = source
     elif holdout_n > 0:
-        pop_source = [
-            DatasetShard(*source.sample(holdout_n, k, streams.substream(seed, streams.EVAL, k)))
-            for k in range(clients)
-        ]
+        pop_source = stacked_shards(
+            [
+                source.sample(holdout_n, k, streams.substream(seed, streams.EVAL, k))
+                for k in range(clients)
+            ]
+        )
     else:
         pop_source = None
     return shards, pop_source

@@ -149,12 +149,12 @@ def generate(spec: GeneratorSpec, n_per_client: int, num_clients: int) -> list[D
         raise ValueError("need n_per_client >= 1 and num_clients >= 1.")
     if isinstance(spec, GaussianLinear) and spec.client_coefs.shape[0] not in (1, num_clients):
         raise ValueError("client_coefs must have 1 row or one row per client.")
-    shards = []
-    for k in range(num_clients):
-        gen = streams.substream(spec.seed, streams.DATA, k)
-        x, y = spec.sample(n_per_client, k, gen)
-        shards.append(DatasetShard(x, y))
-    return shards
+    return stacked_shards(
+        [
+            spec.sample(n_per_client, k, streams.substream(spec.seed, streams.DATA, k))
+            for k in range(num_clients)
+        ]
+    )
 
 
 def generate_pooled(spec: GeneratorSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +179,32 @@ def _contiguous_split(order: np.ndarray, num_clients: int) -> list[np.ndarray]:
     return parts
 
 
+def row_shards(X, y, sizes) -> list[DatasetShard]:
+    """Shards that are consecutive row blocks of X and y, as views.
+
+    So a run's shards already lie end to end in one (N, d) array, which
+    metrics.pooled then takes without a copy.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    shards = []
+    lo = 0
+    for n in sizes:
+        shards.append(DatasetShard(X[lo : lo + n], y[lo : lo + n]))
+        lo += n
+    return shards
+
+
+def stacked_shards(samples) -> list[DatasetShard]:
+    """One shard per (X, y) pair of samples, all row views of one array."""
+    X = np.concatenate([x for x, _ in samples])
+    y = np.concatenate([y for _, y in samples])
+    return row_shards(X, y, [x.shape[0] for x, _ in samples])
+
+
 def _shards_from_indices(X, y, parts) -> list[DatasetShard]:
-    return [DatasetShard(X[idx], y[idx]) for idx in parts]
+    order = np.concatenate(parts)
+    return row_shards(X[order], y[order], [idx.shape[0] for idx in parts])
 
 
 def _distinct_labels(y: np.ndarray) -> np.ndarray:

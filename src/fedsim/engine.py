@@ -10,12 +10,18 @@ by a local step, bit for bit as K single-client steps would. G runs of one
 config, such as a sweep point's seeds, can share the loop as row blocks of
 (G*K, P) matrices. Every random draw comes from a stream keyed by (seed,
 purpose, client, round), so results do not depend on evaluation order, stack
-or worker count.
+or worker count. The sync-time risks may be computed in a forked helper
+process while training goes on; the records come out the same either way.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
+import warnings
 from dataclasses import dataclass
+from multiprocessing.connection import Pipe
 from typing import Callable, Sequence
 
 import numpy as np
@@ -308,6 +314,178 @@ def _uniform_average(theta: np.ndarray, layout: BlockLayout) -> ParamVector:
     return ParamVector(weighted_average(theta, [1.0 / k] * k), layout)
 
 
+def _sync_risks(model: ModelSpec, avg: ParamVector, pools, weights, per_client_risks: bool):
+    """(train, test, gap, per-client risks) of a sync's averaged model on one run's pools."""
+    train_pool, test_pool = pools
+    train = empirical_risk(model, avg, train_pool, weights)
+    test = gap = None
+    if test_pool is not None:
+        test = population_risk_estimate(model, avg, test_pool, weights)
+        gap = test - train
+    pcr = shard_risks(model, avg, train_pool) if per_client_risks else None
+    return train, test, gap, pcr
+
+
+def _serve(conn, evaluate) -> None:
+    """The helper's loop: answer each request until the parent closes its end.
+
+    The reply is (True, risks), or (False, error) for the parent to raise at
+    its record. It is None when a warning was shown: the parent then
+    computes that sync itself, so that it shows the warning under its own
+    filters and registries. An error that cannot be pickled ends the helper,
+    and the parent, which computes that sync itself, raises it.
+    """
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        with warnings.catch_warnings(record=True) as shown:
+            try:
+                reply = (True, evaluate(*request))
+            except Exception as exc:
+                reply = (False, exc)
+        conn.send(None if shown else reply)
+
+
+class _RiskHelper:
+    """One forked process that computes sync risks while the parent trains on.
+
+    It shares the parent's memory as it was at the fork, so a request is just
+    the run index and the averaged parameter vector. It ignores SIGINT (a
+    Ctrl-C reaches the parent, which stops it) and exits at EOF on its pipe,
+    so it ends with its parent however the parent ends. When the fork fails
+    or the helper dies, alive turns false and the caller computes inline.
+    fedsim starts no thread of its own, and OpenBLAS resets its thread pool
+    around a fork, so the helper inherits no lock held by another thread.
+    """
+
+    def __init__(self, evaluate):
+        # as multiprocessing's fork start does: nothing buffered is written twice
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (AttributeError, ValueError):
+                pass
+        self.conn, child = Pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            self.pid = None
+        if self.pid == 0:
+            # the helper leaves only through os._exit: it never returns into
+            # the caller's stack, runs no atexit handler and flushes no stdio
+            code = 1
+            try:
+                self.conn.close()
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _serve(child, evaluate)
+                code = 0
+            finally:
+                os._exit(code)
+        child.close()
+        self.alive = self.pid is not None
+
+    def send(self, request) -> bool:
+        """Hand the helper a request; False when it is gone."""
+        if self.alive:
+            try:
+                self.conn.send(request)
+            except OSError:
+                self.alive = False
+        return self.alive
+
+    def receive(self):
+        """The risks for the last request, or None if the caller must compute them.
+
+        An error the helper met is raised here.
+        """
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            self.alive = False
+            return None
+        if reply is None:
+            return None
+        ok, value = reply
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Close the pipe, which ends the helper, and reap it."""
+        self.conn.close()
+        if self.pid is not None:
+            try:
+                os.waitpid(self.pid, 0)
+            except ChildProcessError:
+                pass
+
+
+class _RecordQueue:
+    """Fills in each sync record's risks and hands records to on_record in order.
+
+    Without a helper, a record's risks are computed when it is made. With
+    one (overlap: forked on entry, reaped on exit), they are computed there
+    while training goes on, and the records made meanwhile wait behind that
+    sync's, so on_record sees the order it would see inline. At most one
+    request is in flight: a sync first collects the one before it. A helper
+    that is gone leaves this sync and every later one to be computed inline.
+    """
+
+    def __init__(self, evaluate, overlap: bool):
+        self.evaluate = evaluate
+        self.overlap = overlap
+        self.helper = None
+        self.request = None
+        self.waiting: list = []  # (on_record, record); the first awaits self.request
+
+    def __enter__(self) -> "_RecordQueue":
+        if self.overlap:
+            self.helper = _RiskHelper(self.evaluate)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            # on a failure too: a risk still in flight failed first if it
+            # failed at all, so its error wins; otherwise the records made
+            # before the failure are emitted, as inline
+            if exc_type is None or issubclass(exc_type, Exception):
+                self.collect()
+        finally:
+            if self.helper is not None:
+                self.helper.close()
+
+    def add(self, on_record, rec: MetricsRecord, request=None) -> None:
+        """Queue rec; request, when given, is the (run, parameters) of its risks."""
+        if request is not None:
+            self.collect()
+            if self.helper is not None and self.helper.send(request):
+                self.request = request
+            else:
+                _fill_risks(rec, self.evaluate(*request))
+        if self.request is not None:
+            self.waiting.append((on_record, rec))
+        elif on_record is not None:
+            on_record(rec.round, rec.step, rec)
+
+    def collect(self) -> None:
+        """Wait for the request in flight, then emit the records behind it."""
+        if self.request is None:
+            return
+        request, waiting = self.request, self.waiting
+        self.request, self.waiting = None, []
+        risks = self.helper.receive()
+        _fill_risks(waiting[0][1], self.evaluate(*request) if risks is None else risks)
+        for on_record, rec in waiting:
+            if on_record is not None:
+                on_record(rec.round, rec.step, rec)
+
+
+def _fill_risks(rec: MetricsRecord, risks) -> None:
+    rec.train_risk, rec.test_risk, rec.gen_gap, rec.per_client_risks = risks
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """What one run of a stack owns: its shards, seed, population source and record callback."""
@@ -356,6 +534,7 @@ def run_experiments(
     consensus_every: int = 1,
     risk_every_sync: bool = True,
     per_client_risks: bool = False,
+    overlap_risks: bool = False,
 ) -> list[RunResult]:
     """Run G experiments of one config in lockstep; one RunResult per run, in order.
 
@@ -367,6 +546,11 @@ def run_experiments(
     equals its own run_experiment bit for bit. A failure in any run stops the
     stack; with G > 1 a divergence names the run by its index, and the text
     after the client names the row of the whole stack.
+
+    overlap_risks forks one helper process that computes the sync risks
+    while training goes on. The records, the order of the on_record calls,
+    and on a failure the error raised and the records emitted before it are
+    those of the inline path.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}.")
@@ -426,93 +610,92 @@ def run_experiments(
 
     comms = [CommCounter.zeros(num_clients) for _ in runs]
     records: list[list[MetricsRecord]] = [[] for _ in runs]
-    # each run's risk data, laid end to end once for the whole run
+    risks_of = None
     if risk_every_sync:
+        # each run's risk data, laid end to end once for the whole run
         pools = [(pooled(run.shards), pooled(run.pop_source)) for run in runs]
+
+        def risks_of(g, values):
+            return _sync_risks(model, ParamVector(values, layout), pools[g], w, per_client_risks)
+
     draw = draw_round_batches_with_replacement if batches_with_replacement else draw_round_batches
     tau, eta, batch_size = schedule.tau, schedule.eta, schedule.batch_size
     step = 0
 
-    for r in range(1, schedule.rounds + 1):
-        owners = [(run, k) for run in runs for k in range(num_clients)]
-        batches = [
-            draw(run.shards[k], tau, batch_size, streams.substream(run.seed, streams.BATCH, k, r))
-            for run, k in owners
-        ]
-        # (G*K, tau, b, d) and (G*K, tau, b): step t reads every client's batch at once
-        round_X = np.stack([run.shards[k].X[idx] for (run, k), idx in zip(owners, batches)])
-        round_y = np.stack([run.shards[k].y[idx] for (run, k), idx in zip(owners, batches)])
-        sync_gens = [streams.substream(run.seed, streams.PARTICIPATION, r) for run in runs]
-
-        for t in range(tau):
-            step += 1
-            correction = None
-            if live_control:
-                per_run = c_bar[:, None, :] - control.reshape(num_runs, num_clients, p)
-                correction = per_run.reshape(theta.shape)
-            try:
-                local_sgd_step(model, theta, round_X[:, t], round_y[:, t], eta, correction)
-            except DivergenceError as exc:
-                g, k = divmod(exc.client, num_clients)
-                where = f"run {g} " if num_runs > 1 else ""
-                raise DivergenceError(f"{where}round {r} step {step} client {k}: {exc}", k) from exc
-
-            roles_due = [
-                role
-                for role in (Role.HEAD, Role.REPRESENTATION)
-                if sync_due(step, role, schedule) and layout.role_size(role) > 0
+    with _RecordQueue(risks_of, overlap_risks and risk_every_sync) as queue:
+        for r in range(1, schedule.rounds + 1):
+            owners = [(run, k) for run in runs for k in range(num_clients)]
+            batches = [
+                draw(
+                    run.shards[k], tau, batch_size, streams.substream(run.seed, streams.BATCH, k, r)
+                )
+                for run, k in owners
             ]
-            emit = bool(roles_due) or (consensus_every > 0 and step % consensus_every == 0)
-            for g, (run, rows) in enumerate(zip(runs, blocks)):
-                th = theta[rows]
-                cons = consensus_map(th, layout) if emit else None
+            # (G*K, tau, b, d) and (G*K, tau, b): step t reads every client's batch at once
+            round_X = np.stack([run.shards[k].X[idx] for (run, k), idx in zip(owners, batches)])
+            round_y = np.stack([run.shards[k].y[idx] for (run, k), idx in zip(owners, batches)])
+            sync_gens = [streams.substream(run.seed, streams.PARTICIPATION, r) for run in runs]
 
-                if roles_due:
-                    participants, agg_w = sample_participants(
-                        participation, num_clients, w, sync_gens[g]
-                    )
-                    for role in roles_due:
-                        slices = layout.role_slices(role)
-                        if live_control:
-                            period = tau if role == Role.HEAD else schedule.alpha * tau
-                            old_bar = c_bar[g].copy()
-                            for c in clients[rows]:
-                                scaffold_control_update(c, old_bar, eta, period, slices)
-                            for sl in slices:
-                                # a contiguous copy reduces exactly as a stack of the rows
-                                block = np.ascontiguousarray(control[rows, sl])
-                                c_bar[g, sl] = np.mean(block, axis=0)
-                        size = aggregate(th, layout, role, participants, agg_w)
-                        if live_control:
-                            for sl in slices:
-                                snapshot[rows, sl] = th[:, sl]
-                        comms[g].record_sync(size, participants)
+            for t in range(tau):
+                step += 1
+                correction = None
+                if live_control:
+                    per_run = c_bar[:, None, :] - control.reshape(num_runs, num_clients, p)
+                    correction = per_run.reshape(theta.shape)
+                try:
+                    local_sgd_step(model, theta, round_X[:, t], round_y[:, t], eta, correction)
+                except DivergenceError as exc:
+                    g, k = divmod(exc.client, num_clients)
+                    where = f"run {g} " if num_runs > 1 else ""
+                    msg = f"{where}round {r} step {step} client {k}: {exc}"
+                    raise DivergenceError(msg, k) from exc
 
-                if emit:
-                    train = test = gap = None
-                    pcr = None
-                    if roles_due and risk_every_sync:
-                        train_pool, test_pool = pools[g]
-                        avg = _uniform_average(th, layout)
-                        train = empirical_risk(model, avg, train_pool, w)
-                        if test_pool is not None:
-                            test = population_risk_estimate(model, avg, test_pool, w)
-                            gap = test - train
-                        if per_client_risks:
-                            pcr = shard_risks(model, avg, train_pool)
-                    rec = MetricsRecord(
-                        round=r,
-                        step=step,
-                        train_risk=train,
-                        test_risk=test,
-                        gen_gap=gap,
-                        consensus=cons,
-                        comm_uploaded=comms[g].total_uploaded,
-                        per_client_risks=pcr,
-                    )
-                    records[g].append(rec)
-                    if run.on_record is not None:
-                        run.on_record(r, step, rec)
+                roles_due = [
+                    role
+                    for role in (Role.HEAD, Role.REPRESENTATION)
+                    if sync_due(step, role, schedule) and layout.role_size(role) > 0
+                ]
+                emit = bool(roles_due) or (consensus_every > 0 and step % consensus_every == 0)
+                for g, (run, rows) in enumerate(zip(runs, blocks)):
+                    th = theta[rows]
+                    cons = consensus_map(th, layout) if emit else None
+
+                    if roles_due:
+                        participants, agg_w = sample_participants(
+                            participation, num_clients, w, sync_gens[g]
+                        )
+                        for role in roles_due:
+                            slices = layout.role_slices(role)
+                            if live_control:
+                                period = tau if role == Role.HEAD else schedule.alpha * tau
+                                old_bar = c_bar[g].copy()
+                                for c in clients[rows]:
+                                    scaffold_control_update(c, old_bar, eta, period, slices)
+                                for sl in slices:
+                                    # a contiguous copy reduces exactly as a stack of the rows
+                                    block = np.ascontiguousarray(control[rows, sl])
+                                    c_bar[g, sl] = np.mean(block, axis=0)
+                            size = aggregate(th, layout, role, participants, agg_w)
+                            if live_control:
+                                for sl in slices:
+                                    snapshot[rows, sl] = th[:, sl]
+                            comms[g].record_sync(size, participants)
+
+                    if emit:
+                        rec = MetricsRecord(
+                            round=r,
+                            step=step,
+                            train_risk=None,
+                            test_risk=None,
+                            gen_gap=None,
+                            consensus=cons,
+                            comm_uploaded=comms[g].total_uploaded,
+                        )
+                        records[g].append(rec)
+                        request = None
+                        if roles_due and risk_every_sync:
+                            request = (g, _uniform_average(th, layout).values)
+                        queue.add(run.on_record, rec, request)
 
     return [
         RunResult(

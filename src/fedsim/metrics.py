@@ -60,14 +60,38 @@ class PooledShards:
     sizes: tuple[int, ...]
 
 
+def _end_to_end(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts joined along the first axis.
+
+    When they are consecutive row blocks of one C-contiguous array, as
+    data.row_shards lays shards out, this is a view of that array and copies
+    nothing; otherwise a concatenation.
+    """
+    base = parts[0].base
+    if base is not None and base.flags.c_contiguous and base.ndim == parts[0].ndim:
+        if base.strides[0] > 0:
+            offset = parts[0].__array_interface__["data"][0] - base.__array_interface__["data"][0]
+            lo = offset // base.strides[0]
+            whole = base[lo : lo + sum(len(p) for p in parts)]
+            at = 0
+            for p in parts:
+                # same address, shape, strides and dtype as the next slice of whole
+                if p.__array_interface__ != whole[at : at + len(p)].__array_interface__:
+                    break
+                at += len(p)
+            else:
+                return whole
+    return np.concatenate(parts)
+
+
 def pooled(source):
     """A sequence of DatasetShard as PooledShards; anything else as it is."""
     if source is None or isinstance(source, (PooledShards, GaussianLinear)):
         return source
     shards = list(source)
     return PooledShards(
-        np.concatenate([s.X for s in shards]),
-        np.concatenate([s.y for s in shards]),
+        _end_to_end([s.X for s in shards]),
+        _end_to_end([s.y for s in shards]),
         tuple(s.n for s in shards),
     )
 

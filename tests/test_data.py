@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from fedsim import rng as streams
 from fedsim.data import (
     DatasetShard,
     GaussianClusters,
     GaussianLinear,
+    _contiguous_split,
     draw_round_batches,
     draw_round_batches_with_replacement,
     generate,
@@ -225,3 +227,27 @@ def test_load_delimited(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no samples"):
         load_delimited(empty)
+
+
+
+def test_shards_are_row_views_of_one_array_with_the_same_values():
+    # the reference: one fancy-indexed copy per shard, one array per client's draw
+    rng = np.random.default_rng(5)
+    X, y = _balanced_classes(60, 4, rng)
+    spec = GaussianClusters(rng.standard_normal((4, 3)), np.eye(3), seed=3)
+    iid = substream(2, streams.DATA).permutation(60)
+    cases = [
+        (partition_iid(X, y, 4, seed=2), _contiguous_split(iid, 4)),
+        (partition_label_sorted(X, y, 5, 1), _contiguous_split(np.argsort(y, kind="stable"), 5)),
+    ]
+    for shards, parts in cases:
+        for shard, idx in zip(shards, parts):
+            assert np.array_equal(shard.X, X[idx]) and np.array_equal(shard.y, y[idx])
+    generated = generate(spec, 7, 3)
+    for k, shard in enumerate(generated):
+        x_k, y_k = spec.sample(7, k, substream(3, streams.DATA, k))
+        assert np.array_equal(shard.X, x_k) and np.array_equal(shard.y, y_k)
+    dirichlet = partition_dirichlet(X, y, 3, 0.5, seed=4)
+    for shards in (cases[0][0], cases[1][0], generated, dirichlet):
+        assert all(s.X.base is shards[0].X.base for s in shards)
+        assert all(s.y.base is shards[0].y.base for s in shards)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from fedsim.data import GaussianLinear, generate
+from fedsim.data import DatasetShard, GaussianLinear, generate, row_shards
 from fedsim.metrics import (
     accuracy,
     consensus_map,
     empirical_risk,
+    pooled,
     population_risk_estimate,
     sample_losses,
 )
@@ -174,3 +175,26 @@ def test_accuracy_hand_cases():
     ridge = RidgeSpec(input_dim=1, l2=0.0)
     with pytest.raises(ValueError, match="regression"):
         accuracy(ridge, ParamVector(np.array([1.0]), build_layout(ridge)), X, [1, -1, 1])
+
+
+def test_pooled_takes_consecutive_row_views_without_a_copy():
+    rng = np.random.default_rng(3)
+    X, y = rng.standard_normal((12, 2)), rng.integers(0, 3, size=12)
+    shards = row_shards(X, y, [3, 4, 5])
+    for part in (shards, shards[1:], shards[:1]):
+        pool = pooled(part)
+        assert np.shares_memory(pool.X, X) and np.shares_memory(pool.y, y)
+        assert np.array_equal(pool.X, np.concatenate([s.X for s in part]))
+        assert np.array_equal(pool.y, np.concatenate([s.y for s in part]))
+    # out of order, with a gap, or not views of one array: a copy of the same values
+    others = [
+        [shards[1], shards[0]],
+        [shards[0], shards[2]],
+        [DatasetShard(X[:3], y[:3]), DatasetShard(X[3:].copy(), y[3:].copy())],
+        [DatasetShard(X[:3, :1], y[:3]), DatasetShard(X[3:6, :1], y[3:6])],
+    ]
+    for part in others:
+        pool = pooled(part)
+        assert not np.shares_memory(pool.X, X)
+        assert np.array_equal(pool.X, np.concatenate([s.X for s in part]))
+        assert np.array_equal(pool.y, np.concatenate([s.y for s in part]))
