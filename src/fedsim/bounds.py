@@ -34,7 +34,7 @@ from .models import (
     loss_and_grad,
     population_risk_closed_form,
 )
-from .params import ParamVector, weighted_average
+from .params import ParamVector, client_weights, weighted_average
 
 MIN_TRIALS = 100
 
@@ -71,14 +71,7 @@ class BoundTrialConfig:
             )
         if self.generator.client_coefs.shape[0] not in (1, self.num_clients):
             raise ValueError("generator client_coefs must have 1 row or one row per client.")
-        if self.weights is None:
-            self.weights = np.full(self.num_clients, 1.0 / self.num_clients)
-        else:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != (self.num_clients,):
-                raise ValueError("one weight per client required.")
-            if np.any(self.weights < 0.0) or abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
-                raise ValueError("weights must be non-negative and sum to 1.")
+        self.weights = client_weights(self.weights, self.num_clients)
 
 
 @dataclass
@@ -334,13 +327,7 @@ def verify_participation_identities(
         raise ValueError("without_replacement cannot sample more clients than exist.")
     if draws < 2:
         raise ValueError("need at least 2 draws.")
-    if weights is None:
-        weights = np.full(num_clients, 1.0 / num_clients)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (num_clients,):
-        raise ValueError("one weight per client required.")
-    if np.any(w < 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
-        raise ValueError("weights must be non-negative and sum to 1.")
+    w = client_weights(weights, num_clients)
     if x is None:
         x = np.arange(1, num_clients + 1, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)

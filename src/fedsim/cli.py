@@ -50,6 +50,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
 def _csv_writer(fh, prov: dict):
     """A CSV writer on fh after the one-line provenance comment."""
     fh.write(
@@ -177,8 +182,7 @@ def cmd_run(args) -> int:
             cfg.schedule_spec(), result.layout
         ),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     print(f"run finished in {elapsed:.2f}s; outputs in {out_dir}", file=sys.stderr)
     print(f"wrote {metrics_path} and {os.path.join(out_dir, 'summary.json')}")
     return 0
@@ -397,8 +401,7 @@ def cmd_verify_bound(args) -> int:
         "identity_reports": identity_reports,
     }
     path = os.path.join(out_dir, "bound_report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_json(path, doc)
 
     print(
         f"bound check: lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
@@ -453,8 +456,7 @@ def cmd_consensus_trace(args) -> int:
         "time_averaged_consensus": {name: sums[name] / n_rows for name in block_names},
     }
     summary_path = os.path.join(out_dir, "consensus_summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_json(summary_path, summary)
     print(f"wrote {trace_path} and {summary_path}")
     return 0
 

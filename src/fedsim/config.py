@@ -30,6 +30,7 @@ from .data import (
 )
 from .engine import ALGORITHMS, PERIOD_ALGORITHMS, ParticipationSpec, ScheduleSpec
 from .models import LogisticL2Spec, MlpSpec, ModelSpec, RidgeSpec
+from .params import WEIGHT_SUM_TOL
 
 
 class ConfigError(ValueError):
@@ -397,7 +398,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"config.weights must have {clients} entries.")
         if any(w < 0 for w in weights):
             raise ConfigError("config.weights must be non-negative.")
-        if abs(sum(weights) - 1.0) > 1e-12:
+        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
             raise ConfigError("config.weights must sum to 1.")
 
     s = doc["schedule"]

@@ -18,6 +18,16 @@ import numpy as np
 from . import rng as streams
 
 
+def _psd_sqrt(cov: np.ndarray, name: str) -> np.ndarray:
+    """S with S @ S.T == cov, from the eigendecomposition of a symmetric PSD cov."""
+    if not np.allclose(cov, cov.T, atol=1e-12):
+        raise ValueError(f"{name} must be symmetric.")
+    ev, vec = np.linalg.eigh(cov)
+    if ev.min() < -1e-10 * max(1.0, ev.max()):
+        raise ValueError(f"{name} must be positive semi-definite.")
+    return vec * np.sqrt(np.clip(ev, 0.0, None))
+
+
 @dataclass(eq=False)
 class GaussianLinear:
     """x ~ N(0, covariance), y = x . coef_k + noise_std * eps per client k.
@@ -35,16 +45,11 @@ class GaussianLinear:
         self.client_coefs = np.atleast_2d(np.asarray(self.client_coefs, dtype=np.float64))
         if self.covariance.ndim != 2 or self.covariance.shape[0] != self.covariance.shape[1]:
             raise ValueError("covariance must be square.")
-        if not np.allclose(self.covariance, self.covariance.T, atol=1e-12):
-            raise ValueError("covariance must be symmetric.")
+        self._sqrt = _psd_sqrt(self.covariance, "covariance")
         if self.client_coefs.shape[1] != self.covariance.shape[0]:
             raise ValueError("coefficient dim does not match covariance dim.")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be >= 0.")
-        ev, vec = np.linalg.eigh(self.covariance)
-        if ev.min() < -1e-10 * max(1.0, ev.max()):
-            raise ValueError("covariance must be positive semi-definite.")
-        self._sqrt = vec * np.sqrt(np.clip(ev, 0.0, None))
 
     @property
     def dim(self) -> int:
@@ -85,12 +90,7 @@ class GaussianClusters:
         d = self.class_means.shape[1]
         if self.class_cov.shape != (d, d):
             raise ValueError("class_cov must match the mean dimension.")
-        if not np.allclose(self.class_cov, self.class_cov.T, atol=1e-12):
-            raise ValueError("class_cov must be symmetric.")
-        ev, vec = np.linalg.eigh(self.class_cov)
-        if ev.min() < -1e-10 * max(1.0, ev.max()):
-            raise ValueError("class_cov must be positive semi-definite.")
-        self._sqrt = vec * np.sqrt(np.clip(ev, 0.0, None))
+        self._sqrt = _psd_sqrt(self.class_cov, "class_cov")
 
     @property
     def num_classes(self) -> int:

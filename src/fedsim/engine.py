@@ -37,7 +37,15 @@ from .metrics import (
     shard_risks,
 )
 from .models import ModelSpec, build_layout, init_params, loss_and_grad
-from .params import BlockLayout, ParamVector, Role, weighted_average, weighted_sum
+from .params import (
+    WEIGHT_SUM_TOL,
+    BlockLayout,
+    ParamVector,
+    Role,
+    client_weights,
+    weighted_average,
+    weighted_sum,
+)
 
 ALGORITHMS = ("fedavg", "fedals", "scaffold", "fedals_scaffold")
 CONTROL_ALGORITHMS = ("scaffold", "fedals_scaffold")
@@ -87,6 +95,10 @@ class ScheduleSpec:
     def total_steps(self) -> int:
         return self.rounds * self.tau
 
+    def period(self, role: Role) -> int:
+        """Steps between two syncs of a role's blocks: tau for the head, alpha*tau otherwise."""
+        return self.tau if role == Role.HEAD else self.alpha * self.tau
+
 
 def sync_due(step: int, role: Role, schedule: ScheduleSpec) -> bool:
     """Whether blocks of the given role sync after completed step `step` (>= 1).
@@ -96,8 +108,7 @@ def sync_due(step: int, role: Role, schedule: ScheduleSpec) -> bool:
     """
     if step < 1:
         raise ValueError("step counts completed local steps, starting at 1.")
-    period = schedule.tau if role == Role.HEAD else schedule.alpha * schedule.tau
-    return step % period == 0
+    return step % schedule.period(role) == 0
 
 
 @dataclass(frozen=True)
@@ -191,14 +202,11 @@ class CommCounter:
 def comm_closed_form(schedule: ScheduleSpec, layout: BlockLayout) -> int:
     """Parameters one client moves in one direction over a full run.
 
-    Sync events land on step multiples, so the count is
-    (T // tau) * |head| + (T // (alpha*tau)) * |representation| with
-    T = rounds * tau.
+    Sync events land on multiples of each role's period, so the count is
+    sum over roles of (T // period) * |role blocks| with T = rounds * tau.
     """
     t = schedule.total_steps
-    head = layout.role_size(Role.HEAD)
-    rep = layout.role_size(Role.REPRESENTATION)
-    return (t // schedule.tau) * head + (t // (schedule.alpha * schedule.tau)) * rep
+    return sum(t // schedule.period(role) * layout.role_size(role) for role in Role)
 
 
 def local_sgd_step(
@@ -290,7 +298,7 @@ def aggregate(
     total = 0.0
     for x in agg_weights:
         total += float(x)
-    combine = weighted_average if abs(total - 1.0) <= 1e-12 else weighted_sum
+    combine = weighted_average if abs(total - 1.0) <= WEIGHT_SUM_TOL else weighted_sum
     slices = layout.role_slices(role)
     for sl in slices:
         theta[:, sl] = combine(theta[participants, sl], agg_weights)
@@ -329,11 +337,10 @@ def _sync_risks(model: ModelSpec, avg: ParamVector, pools, weights, per_client_r
 def _serve(conn, evaluate) -> None:
     """The helper's loop: answer each request until the parent closes its end.
 
-    The reply is (True, risks), or (False, error) for the parent to raise at
-    its record. It is None when a warning was shown: the parent then
-    computes that sync itself, so that it shows the warning under its own
-    filters and registries. An error that cannot be pickled ends the helper,
-    and the parent, which computes that sync itself, raises it.
+    The reply is the risks, or None when computing them raised an error or
+    showed a warning. The parent then computes that sync itself, so it raises
+    the error or shows the warning as the inline path does, under its own
+    filters and registries; no exception crosses the pipe.
     """
     while True:
         try:
@@ -342,10 +349,10 @@ def _serve(conn, evaluate) -> None:
             return
         with warnings.catch_warnings(record=True) as shown:
             try:
-                reply = (True, evaluate(*request))
-            except Exception as exc:
-                reply = (False, exc)
-        conn.send(None if shown else reply)
+                risks = evaluate(*request)
+            except Exception:
+                risks = None
+        conn.send(None if shown else risks)
 
 
 class _RiskHelper:
@@ -396,21 +403,12 @@ class _RiskHelper:
         return self.alive
 
     def receive(self):
-        """The risks for the last request, or None if the caller must compute them.
-
-        An error the helper met is raised here.
-        """
+        """The risks for the last request, or None if the caller must compute them."""
         try:
-            reply = self.conn.recv()
+            return self.conn.recv()
         except (EOFError, OSError):
             self.alive = False
             return None
-        if reply is None:
-            return None
-        ok, value = reply
-        if not ok:
-            raise value
-        return value
 
     def close(self) -> None:
         """Close the pipe, which ends the helper, and reap it."""
@@ -429,8 +427,9 @@ class _RecordQueue:
     one (overlap: forked on entry, reaped on exit), they are computed there
     while training goes on, and the records made meanwhile wait behind that
     sync's, so on_record sees the order it would see inline. At most one
-    request is in flight: a sync first collects the one before it. A helper
-    that is gone leaves this sync and every later one to be computed inline.
+    request is in flight: a sync first collects the one before it. A sync
+    whose risks the helper did not give back is computed inline, and a helper
+    that is gone leaves every later sync to be computed inline too.
     """
 
     def __init__(self, evaluate, overlap: bool):
@@ -569,15 +568,7 @@ def run_experiments(
         if layout.role_size(Role.REPRESENTATION) == 0 or layout.role_size(Role.HEAD) == 0:
             raise ValueError(f"{algorithm} needs both representation and head blocks.")
 
-    if weights is None:
-        weights = [1.0 / num_clients] * num_clients
-    w = np.asarray([float(x) for x in weights], dtype=np.float64)
-    if w.shape != (num_clients,):
-        raise ValueError("one evaluation weight per client required.")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and non-negative.")
-    if abs(float(np.sum(w)) - 1.0) > 1e-12:
-        raise ValueError("weights must sum to 1.")
+    w = client_weights(weights, num_clients)
     if participation.mode == "without_replacement" and participation.num_sampled > num_clients:
         raise ValueError("without_replacement cannot sample more clients than exist.")
 
@@ -667,7 +658,7 @@ def run_experiments(
                         for role in roles_due:
                             slices = layout.role_slices(role)
                             if live_control:
-                                period = tau if role == Role.HEAD else schedule.alpha * tau
+                                period = schedule.period(role)
                                 old_bar = c_bar[g].copy()
                                 for c in clients[rows]:
                                     scaffold_control_update(c, old_bar, eta, period, slices)

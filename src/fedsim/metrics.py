@@ -22,7 +22,7 @@ from .models import (
     predict,
     sample_losses,
 )
-from .params import BlockLayout, ParamVector, weighted_average
+from .params import BlockLayout, ParamVector, client_weights, weighted_average
 
 
 @dataclass
@@ -113,12 +113,9 @@ def empirical_risk(
 ) -> float:
     """Client-weighted empirical risk sum_k w_k * mean-loss(shard_k)."""
     pool = pooled(shards)
-    if len(pool.sizes) != len(weights):
-        raise ValueError("one weight per shard required.")
-    if abs(float(np.sum(np.asarray(weights, dtype=np.float64))) - 1.0) > 1e-12:
-        raise ValueError("client weights must sum to 1.")
+    w = client_weights(weights, len(pool.sizes), "shard")
     # anchored form: identical shard risks collapse to the first value exactly
-    return float(weighted_average(shard_risks(model, params, pool), weights))
+    return float(weighted_average(shard_risks(model, params, pool), w))
 
 
 def population_risk_estimate(
@@ -133,24 +130,24 @@ def population_risk_estimate(
       - GaussianLinear with a ridge model: exact closed form;
       - a sequence of DatasetShard, or their PooledShards: held-out estimate.
     """
-    weights = [float(w) for w in weights]
     if isinstance(source, GaussianLinear):
         if not isinstance(model, RidgeSpec):
             raise ValueError("a GaussianLinear source has a closed-form risk for ridge only.")
+        rows = source.client_coefs.shape[0]
+        w = client_weights(weights, len(weights) if rows == 1 else rows)
         total = 0.0
-        for k, w in enumerate(weights):
-            total += w * population_risk_closed_form(
+        for k, wk in enumerate(w.tolist()):
+            total += wk * population_risk_closed_form(
                 model, params, source.covariance, source.coef_for(k), source.noise_std
             )
         return total
     pool = pooled(source)
-    if len(pool.sizes) != len(weights):
-        raise ValueError("one weight per holdout shard required.")
+    w = client_weights(weights, len(pool.sizes), "holdout shard")
     losses = sample_losses(model, params, pool.X, pool.y, segments=pool.sizes)
     total = 0.0
     lo = 0
-    for w, n in zip(weights, pool.sizes):
-        total += w * float(np.mean(losses[lo : lo + n]))
+    for wk, n in zip(w.tolist(), pool.sizes):
+        total += wk * float(np.mean(losses[lo : lo + n]))
         lo += n
     return total
 

@@ -21,8 +21,8 @@ ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
-class RidgeSpec:
-    """Squared loss 0.5*(x.theta - y)^2 plus (l2/2)*||theta||^2 per sample."""
+class _LinearSpec:
+    """A linear model on input_dim features with an l2 penalty: one parameter per feature."""
 
     input_dim: int
     l2: float = 0.0
@@ -35,17 +35,13 @@ class RidgeSpec:
 
 
 @dataclass(frozen=True)
-class LogisticL2Spec:
+class RidgeSpec(_LinearSpec):
+    """Squared loss 0.5*(x.theta - y)^2 plus (l2/2)*||theta||^2 per sample."""
+
+
+@dataclass(frozen=True)
+class LogisticL2Spec(_LinearSpec):
     """Logistic loss on labels in {-1, +1} plus (l2/2)*||theta||^2 per sample."""
-
-    input_dim: int
-    l2: float = 0.0
-
-    def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1.")
-        if self.l2 < 0.0:
-            raise ValueError("l2 must be >= 0.")
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def build_layout(model: ModelSpec, representation_layers: int = 0) -> BlockLayou
     the rest are head blocks. Linear families have a single block, so the
     split degenerates to choosing that block's role (0 -> head).
     """
-    if isinstance(model, (RidgeSpec, LogisticL2Spec)):
+    if isinstance(model, _LinearSpec):
         if representation_layers not in (0, 1):
             raise ValueError("linear models have one layer; split must be 0 or 1.")
         role = Role.REPRESENTATION if representation_layers == 1 else Role.HEAD
@@ -127,17 +123,13 @@ def init_params(model: ModelSpec, layout: BlockLayout, rng: np.random.Generator)
     Linear families start at zero. MLP weights are Glorot-scaled normals drawn
     layer by layer from rng; biases start at zero.
     """
-    theta = np.zeros(layout.total_params)
+    theta = np.zeros((1, layout.total_params))
     if isinstance(model, MlpSpec):
-        widths = model.widths
-        offset = 0
-        for i in range(model.num_layers):
-            fan_in, fan_out = widths[i], widths[i + 1]
+        for w, _ in _mlp_views(model, theta):  # biases stay zero
+            fan_in, fan_out = w.shape[1:]
             scale = np.sqrt(2.0 / (fan_in + fan_out))
-            w = rng.standard_normal((fan_in, fan_out)) * scale
-            theta[offset : offset + fan_in * fan_out] = w.ravel()
-            offset += fan_in * fan_out + fan_out  # biases stay zero
-    return ParamVector(theta, layout)
+            w[0] = rng.standard_normal((fan_in, fan_out)) * scale
+    return ParamVector(theta[0], layout)
 
 
 def _check_batch(model: ModelSpec, params, X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,7 +238,12 @@ def _halving_sum(a: np.ndarray):
     if n < PLAN_MIN_ROWS:
         h = n // 2
         return _halving_sum(a[:h]) + _halving_sum(a[h:])
-    rows, pads = _halving_plan(n)
+    return _planned_sum(a, *_halving_plan(n))
+
+
+def _planned_sum(a: np.ndarray, rows: np.ndarray, pads: np.ndarray):
+    """Run a halving plan on a: gather its summand rows, set its pads to -0.0,
+    then add even and odd rows, one level of the tree at a time."""
     level = a[rows]
     level[pads] = -0.0
     while level.shape[0] > 1:
@@ -325,6 +322,8 @@ def _mlp_forward(model: MlpSpec, theta: np.ndarray, X: np.ndarray, mm=np.matmul)
 
 
 def _mlp_eval(model, theta, X, y, need_grad, mm=np.matmul):
+    if y.dtype.kind == "f" and np.any(y != np.trunc(y)):
+        raise ValueError("class labels must be integers.")
     labels = y.astype(np.int64)
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("class labels out of range.")
@@ -514,11 +513,7 @@ def batch_loss(model: ModelSpec, params, X, y, segments=None):
         sizes = tuple(int(n) for n in segments)
         theta, data = _segment_losses(model, params, X, y, sizes, True)
         rows, pads, counts = _segments_plan(sizes)
-        level = data[rows]
-        level[pads] = -0.0
-        while level.shape[0] > 1:
-            level = level[0::2] + level[1::2]
-        return level[0] / counts + 0.5 * model.l2 * _rowdot(theta)
+        return _planned_sum(data, rows, pads) / counts + 0.5 * model.l2 * _rowdot(theta)
     value, _ = _evaluate(model, params, X, y, False)
     if not isinstance(params, ParamVector):
         return value
@@ -641,7 +636,7 @@ def mu_L_exact(model: RidgeSpec, X) -> tuple[float, float]:
     return float(ev[0]), float(ev[-1])
 
 
-def erm_closed_form(model: RidgeSpec, X, y, layout: BlockLayout | None = None):
+def erm_closed_form(model: RidgeSpec, X, y):
     """Exact minimizer of the ridge empirical risk on (X, y).
 
     Solves ((1/n) X^T X + l2*I) theta = (1/n) X^T y. Requires a
@@ -675,7 +670,7 @@ def erm_closed_form(model: RidgeSpec, X, y, layout: BlockLayout | None = None):
         raise ValueError("ERM solution contains non-finite entries.")
     if not single:
         return theta
-    return ParamVector(theta[0], layout if layout is not None else build_layout(model))
+    return ParamVector(theta[0], build_layout(model))
 
 
 def population_risk_closed_form(

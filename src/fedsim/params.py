@@ -118,6 +118,28 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite entries.")
 
 
+def client_weights(weights: Sequence[float] | None, n: int, per: str = "client") -> np.ndarray:
+    """The client weights w_k as an (n,) float64 array; uniform 1/n when weights is None.
+
+    Given weights must be one per client, finite, non-negative, and sum to 1
+    within WEIGHT_SUM_TOL, summed left to right. per names what each weight
+    belongs to in the length error.
+    """
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray([float(x) for x in weights], dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"one weight per {per} required.")
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ValueError("weights must be finite and non-negative.")
+    total = 0.0
+    for x in w.tolist():
+        total += x
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights sum to {total!r}; they must sum to 1 within {WEIGHT_SUM_TOL}.")
+    return w
+
+
 def _rows_and_weights(rows, weights) -> tuple[np.ndarray, list[float]]:
     rows = np.asarray(rows, dtype=np.float64)
     w = [float(x) for x in weights]
@@ -131,21 +153,14 @@ def _rows_and_weights(rows, weights) -> tuple[np.ndarray, list[float]]:
 def weighted_average(rows: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """Convex combination of a stack of rows, over axis 0.
 
-    Weights must be non-negative and sum to 1 within 1e-12; they are used as
-    given, never renormalized. Accumulation is anchored at the first row,
+    The weights must pass client_weights; they are used as given, never
+    renormalized. Accumulation is anchored at the first row,
     result = r0 + sum_k w_k * (r_k - r0), evaluated left to right, which makes
     the average of K identical rows return that row bit for bit. Callers pick
     blocks by slicing columns before the call.
     """
     rows, w = _rows_and_weights(rows, weights)
-    total = 0.0
-    for x in w:
-        if not np.isfinite(x) or x < 0.0:
-            raise ValueError("weights must be finite and non-negative.")
-        total += x
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}.")
-
+    w = client_weights(w, len(w)).tolist()
     base = rows[0]
     out = base.copy()
     for row, wk in zip(rows[1:], w[1:]):

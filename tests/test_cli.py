@@ -236,6 +236,22 @@ def test_invalid_labels_exit_1_not_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "metrics.jsonl").exists()  # the first step checks labels
 
 
+def test_fractional_class_labels_exit_1_without_metrics(tmp_path, capsys):
+    # int64 casting would have trained on 0, 1 and 2 and exited 0
+    data = tmp_path / "fractional.csv"
+    X = np.random.default_rng(8).standard_normal((24, 3))
+    np.savetxt(data, np.column_stack([X, np.arange(24) % 3 + 0.5]), delimiter=",")
+    doc = _mlp_doc()
+    doc["data"] = {
+        "source": {"kind": "file", "path": str(data)},
+        "partition": {"mode": "iid"},
+        "n_per_client": 12,
+    }
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config error: class labels must be integers.\n"
+    assert not (tmp_path / "o" / "metrics.jsonl").exists()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_shard_too_small_for_a_round_exits_1_without_metrics(tmp_path, capsys, seed):
     # a Dirichlet 0.1 split of 48 samples leaves some client fewer than

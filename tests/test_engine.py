@@ -46,6 +46,11 @@ def test_sync_due_examples():
         sync_due(0, Role.HEAD, sched)
 
 
+def test_period_of_each_role():
+    sched = ScheduleSpec(tau=5, eta=0.1, rounds=20, batch_size=1, alpha=10)
+    assert sched.period(Role.HEAD) == 5 and sched.period(Role.REPRESENTATION) == 50
+
+
 def test_sync_containment():
     # whenever representation syncs, the head syncs too
     rng = np.random.default_rng(0)

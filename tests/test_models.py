@@ -93,6 +93,21 @@ def test_mlp_rejects_out_of_range_labels():
         loss_and_grad(model, params, X, [0, 3])
 
 
+def test_mlp_rejects_fractional_labels_and_takes_integral_floats():
+    rng = np.random.default_rng(0)
+    model, params = _make("mlp_relu", rng)
+    X = rng.standard_normal((3, model.input_dim))
+    for y in ([0.5, 1.0, 2.0], [0.0, 1.0, np.nan]):
+        with pytest.raises(ValueError, match="class labels must be integers"):
+            loss_and_grad(model, params, X, y)
+        with pytest.raises(ValueError, match="class labels must be integers"):
+            loss_and_grad(model, params.values[None], X[None], np.array([y]))
+    # integral floats, as a data file gives them, have the bits of integer labels
+    a = loss_and_grad(model, params, X, [0.0, 1.0, 2.0])
+    b = loss_and_grad(model, params, X, np.array([0, 1, 2]))
+    assert a.value == b.value and np.array_equal(a.grad.values, b.grad.values)
+
+
 def test_gradients_match_finite_differences():
     # central differences, step 1e-5, 100 draws spread over the families
     rng = np.random.default_rng(11)
@@ -339,6 +354,12 @@ def test_init_params_deterministic_and_scaled():
     # biases start at zero
     assert np.array_equal(a.values[4 * 5 : 4 * 5 + 5], np.zeros(5))
     assert float(np.std(a.values[: 4 * 5])) < 1.0
+    # layer by layer from the one stream: Glorot-scaled weights, then zero biases
+    gen, want = substream(9, 3), []
+    for fan_in, fan_out in ((4, 5), (5, 3)):
+        scale = np.sqrt(2.0 / (fan_in + fan_out))
+        want += [(gen.standard_normal((fan_in, fan_out)) * scale).ravel(), np.zeros(fan_out)]
+    assert np.array_equal(a.values, np.concatenate(want))
 
 
 def test_predict_shapes_and_values():

@@ -5,11 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
+from fedsim.bounds import BoundTrialConfig, verify_participation_identities
+from fedsim.data import GaussianLinear, generate
+from fedsim.engine import RunSpec, ScheduleSpec, run_experiments
+from fedsim.metrics import empirical_risk, population_risk_estimate
+from fedsim.models import RidgeSpec
 from fedsim.params import (
+    WEIGHT_SUM_TOL,
     Block,
     BlockLayout,
     ParamVector,
     Role,
+    client_weights,
     layout_from_sizes,
     weighted_average,
     weighted_sum,
@@ -133,3 +140,50 @@ def test_weighted_sum_no_sum_constraint():
     assert np.array_equal(out, [2.0, 3.0])
     with pytest.raises(ValueError):
         weighted_sum(np.array([[1.0, 0.0]]), [float("nan")])
+
+
+def test_client_weights_rule():
+    assert np.array_equal(client_weights(None, 4), np.full(4, 0.25))
+    w = client_weights([0.5, 0.3, 0.2], 3)
+    assert w.dtype == np.float64 and w.tolist() == [0.5, 0.3, 0.2]
+    client_weights([0.5, 0.5 + 0.5 * WEIGHT_SUM_TOL], 2)  # inside the tolerance
+    with pytest.raises(ValueError, match="sum to 1"):
+        client_weights([0.5, 0.5 + 2 * WEIGHT_SUM_TOL], 2)
+    with pytest.raises(ValueError, match="one weight per holdout shard"):
+        client_weights([1.0], 2, "holdout shard")
+    for bad in ([float("nan"), 0.5, 0.5], [1.5, -0.25, -0.25], [float("inf"), 0.0, 0.0]):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            client_weights(bad, 3)
+
+
+def _weight_owners():
+    """Each public entry point that takes client weights, as a call on 3 clients."""
+    law = GaussianLinear(np.eye(2), np.arange(6.0).reshape(3, 2), 0.5, seed=0)
+    shards = generate(law, 10, 3)
+    model = RidgeSpec(input_dim=2, l2=0.1)
+    params = ParamVector(np.zeros(2), layout_from_sizes([("coef", 2, Role.HEAD)]))
+    return {
+        "BoundTrialConfig": lambda w: BoundTrialConfig(law, 3, 5, 0.5, 100, 0, weights=w),
+        "verify_participation_identities": lambda w: verify_participation_identities(
+            3, 2, "with_replacement", draws=10, seed=0, weights=w
+        ),
+        "empirical_risk": lambda w: empirical_risk(model, params, shards, w),
+        "population_risk_estimate.closed_form": lambda w: population_risk_estimate(
+            model, params, law, w
+        ),
+        "population_risk_estimate.holdout": lambda w: population_risk_estimate(
+            model, params, shards, w
+        ),
+        "run_experiments": lambda w: run_experiments(
+            "fedavg", model, ScheduleSpec(1, 0.05, 1, 2), [RunSpec(shards)], weights=w
+        ),
+    }
+
+
+@pytest.mark.parametrize("owner", sorted(_weight_owners()))
+@pytest.mark.parametrize("bad", [[float("nan"), 0.5, 0.5], [1.5, -0.25, -0.25]])
+def test_every_weight_owner_rejects_nan_and_negative_weights(owner, bad):
+    call = _weight_owners()[owner]
+    call(np.array([0.5, 0.3, 0.2]))  # valid weights pass
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        call(np.array(bad))

@@ -105,11 +105,34 @@ def _counting(real, fail_at, failure):
     return wrapped
 
 
-def _risk_error(n):
-    def fail():
-        raise ValueError(f"risk failed at sync {n}")
+def _synced(tmp_path):
+    """The averaged parameters of each sync of the golden run, in order."""
+    real, synced = engine._sync_risks, []
 
-    return fail
+    def recording(model, avg, *rest):
+        synced.append(avg.values.copy())
+        return real(model, avg, *rest)
+
+    with mock.patch.object(engine, "_sync_risks", recording):
+        _run(_golden_doc(), str(tmp_path / "probe"), False)
+    return synced
+
+
+def _failing_at(synced, sync, error=ValueError):
+    """engine._sync_risks, except that it raises at sync number sync (from 1).
+
+    The failure is keyed on that sync's parameters, so it fires in whichever
+    process computes the sync: the helper, and then the run that computes it
+    again.
+    """
+    real = engine._sync_risks
+
+    def risks(model, avg, *rest):
+        if np.array_equal(avg.values, synced[sync - 1]):
+            raise error(f"risk failed at sync {sync}")
+        return real(model, avg, *rest)
+
+    return risks
 
 
 def _divergence():
@@ -120,11 +143,10 @@ def _divergence():
 @pytest.mark.parametrize("sync, steps_after", [(1, 1), (2, 2), (3, 4), (5, 7), (8, 100)])
 def test_a_risk_failure_wins_over_a_later_divergence(tmp_path, monkeypatch, sync, steps_after):
     doc = _golden_doc()
+    synced = _synced(tmp_path)
     results = []
     for overlap in (False, True):
-        monkeypatch.setattr(
-            engine, "_sync_risks", _counting(engine._sync_risks, sync, _risk_error(sync))
-        )
+        monkeypatch.setattr(engine, "_sync_risks", _failing_at(synced, sync))
         divergence_step = 3 * sync + steps_after
         step = _counting(engine.local_sgd_step, divergence_step, _divergence)
         monkeypatch.setattr(engine, "local_sgd_step", step)
@@ -171,26 +193,29 @@ def test_a_helper_that_dies_leaves_the_rest_to_the_run(tmp_path, monkeypatch, re
     assert risks.calls[0] == 8 - request_no + 1
 
 
+@pytest.mark.parametrize("request_no", [1, 4, 8])
+def test_a_failure_only_the_helper_meets_leaves_the_inline_bytes(
+    tmp_path, monkeypatch, request_no
+):
+    inline = _run(_golden_doc(), str(tmp_path / "inline"), False)
+    parent = os.getpid()
+
+    def fail_in_helper():
+        if os.getpid() != parent:
+            raise MemoryError("only the helper ran out")
+
+    risks = _counting(engine._sync_risks, request_no, fail_in_helper)
+    monkeypatch.setattr(engine, "_sync_risks", risks)
+    assert _run(_golden_doc(), str(tmp_path / "overlap"), True) == inline
+    # this process computed the failed sync alone; the helper did the others
+    assert risks.calls[0] == 1
+
+
 def test_an_error_that_cannot_be_pickled_is_raised_as_inline(tmp_path, monkeypatch):
-    real, synced = engine._sync_risks, []
-
-    def recording(model, avg, *rest):
-        synced.append(avg.values.copy())
-        return real(model, avg, *rest)
-
-    monkeypatch.setattr(engine, "_sync_risks", recording)
-    _run(_golden_doc(), str(tmp_path / "probe"), False)
-
     class LocalError(ValueError):  # a local class cannot be pickled
         pass
 
-    def failing(model, avg, *rest):
-        # keyed on the parameters, so it fails in whichever process computes sync 3
-        if np.array_equal(avg.values, synced[2]):
-            raise LocalError("risk failed at sync 3")
-        return real(model, avg, *rest)
-
-    monkeypatch.setattr(engine, "_sync_risks", failing)
+    monkeypatch.setattr(engine, "_sync_risks", _failing_at(_synced(tmp_path), 3, LocalError))
     inline = _run(_golden_doc(), str(tmp_path / "inline"), False)
     assert _run(_golden_doc(), str(tmp_path / "overlap"), True) == inline
     assert inline[:2] == (1, "config error: risk failed at sync 3\n")
@@ -291,9 +316,7 @@ needs_proc_children = pytest.mark.skipif(
 @pytest.mark.parametrize("outcome", [0, 1, 2])
 def test_no_helper_outlives_run(tmp_path, monkeypatch, outcome):
     if outcome == 1:
-        monkeypatch.setattr(
-            engine, "_sync_risks", _counting(engine._sync_risks, 2, _risk_error(2))
-        )
+        monkeypatch.setattr(engine, "_sync_risks", _failing_at(_synced(tmp_path), 2))
     elif outcome == 2:
         monkeypatch.setattr(
             engine, "local_sgd_step", _counting(engine.local_sgd_step, 5, _divergence)
