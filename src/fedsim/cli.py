@@ -36,7 +36,7 @@ from .config import (
     parse_config,
 )
 from .engine import DivergenceError, RunSpec, comm_closed_form, run_experiment, run_experiments
-from .metrics import accuracy, consensus_map, empirical_risk, pooled, population_risk_estimate
+from .metrics import accuracy, consensus_map, empirical_risk, population_risk_estimate
 from .models import RidgeSpec, build_layout
 
 WORKERS_ENV = "FEDSIM_WORKERS"
@@ -119,8 +119,7 @@ def _final_metrics(cfg, model, shards, pop_source, result) -> dict:
     if pop_source is not None:
         test = population_risk_estimate(model, result.final_params, pop_source, w)
         if not isinstance(model, RidgeSpec):  # a GaussianLinear source serves ridge only
-            holdout = pooled(pop_source)
-            acc = accuracy(model, result.final_params, holdout.X, holdout.y)
+            acc = accuracy(model, result.final_params, pop_source.X, pop_source.y)
     return {
         "final_train_risk": train,
         "final_test_risk": test,
@@ -145,8 +144,8 @@ def cmd_run(args) -> int:
 
     def sink(r, s, rec):
         # opened at the first record, which every round emits: by then the
-        # set-up checks and the first step's label checks have passed, so a
-        # set-up failure writes no metrics.jsonl
+        # set-up checks, the label check among them, have passed, so a set-up
+        # failure writes no metrics.jsonl
         nonlocal metrics_fh
         if metrics_fh is None:
             metrics_fh = open(metrics_path, "w", encoding="utf-8")

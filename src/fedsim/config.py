@@ -30,7 +30,7 @@ from .data import (
 )
 from .engine import ALGORITHMS, PERIOD_ALGORITHMS, ParticipationSpec, ScheduleSpec
 from .models import LogisticL2Spec, MlpSpec, ModelSpec, RidgeSpec
-from .params import WEIGHT_SUM_TOL
+from .params import client_weights
 
 
 class ConfigError(ValueError):
@@ -108,6 +108,16 @@ def _as_float_list(v, where: str):
             raise ConfigError(f"{where} must contain only finite numbers.")
         out.append(float(x))
     return out
+
+
+def _as_weights(v, clients: int, where: str) -> list[float]:
+    """Client weights as params.client_weights takes them, with errors that name where."""
+    weights = _as_float_list(v, where)
+    try:
+        client_weights(weights, clients)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return weights
 
 
 MODEL_FAMILIES = ("ridge", "logistic_l2", "mlp")
@@ -393,13 +403,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     weights = doc.get("weights")
     if weights is not None:
-        weights = _as_float_list(weights, "config.weights")
-        if len(weights) != clients:
-            raise ConfigError(f"config.weights must have {clients} entries.")
-        if any(w < 0 for w in weights):
-            raise ConfigError("config.weights must be non-negative.")
-        if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise ConfigError("config.weights must sum to 1.")
+        weights = _as_weights(weights, clients, "config.weights")
 
     s = doc["schedule"]
     _check_keys(s, "schedule", {"tau", "eta", "rounds", "batch_size"}, {"alpha"})
@@ -541,9 +545,9 @@ def build_generator(cfg: ExperimentConfig, seed: int):
 def build_shards(cfg: ExperimentConfig, seed: int):
     """Build training shards and the population source for one seed.
 
-    Returns (shards, pop_source) where pop_source is a GaussianLinear spec
-    (exact test risk for ridge), a list of held-out shards, or None when the
-    config provides no population route.
+    Returns (shards, pop_source): shards is a data.Shards, and pop_source is
+    a GaussianLinear spec (exact test risk for ridge), a Shards of held-out
+    samples, or None when the config provides no population route.
     """
     data_cfg = cfg.canonical["data"]
     part = data_cfg["partition"]
@@ -607,13 +611,10 @@ def parse_bound_config(doc: dict) -> dict:
         **_parse_linear_law(doc, dim, "bound config", clients),
     }
 
-    if "weights" in doc and doc["weights"] is not None:
-        w = _as_float_list(doc["weights"], "bound config.weights")
-        if len(w) != clients:
-            raise ConfigError(f"bound config.weights must have {clients} entries.")
-        out["weights"] = w
-    else:
-        out["weights"] = None
+    weights = doc.get("weights")
+    if weights is not None:
+        weights = _as_weights(weights, clients, "bound config.weights")
+    out["weights"] = weights
 
     ident = doc.get("identities")
     if ident is not None:

@@ -139,7 +139,7 @@ class DatasetShard:
         return self.X.shape[0]
 
 
-def generate(spec: GeneratorSpec, n_per_client: int, num_clients: int) -> list[DatasetShard]:
+def generate(spec: GeneratorSpec, n_per_client: int, num_clients: int) -> Shards:
     """Draw an independent shard per client from the generator's law.
 
     Each client uses its own stream derived from (spec.seed, client id), so
@@ -179,32 +179,42 @@ def _contiguous_split(order: np.ndarray, num_clients: int) -> list[np.ndarray]:
     return parts
 
 
-def row_shards(X, y, sizes) -> list[DatasetShard]:
-    """Shards that are consecutive row blocks of X and y, as views.
+class Shards(tuple):
+    """Client shards that own their pool: X (N, d), y (N,) and each shard's size.
 
-    So a run's shards already lie end to end in one (N, d) array, which
-    metrics.pooled then takes without a copy.
+    The shards are consecutive row blocks of X and y, as views, so
+    metrics.pooled takes them as they are, without a copy.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    shards = []
-    lo = 0
-    for n in sizes:
-        shards.append(DatasetShard(X[lo : lo + n], y[lo : lo + n]))
-        lo += n
-    return shards
+
+    def __new__(cls, X, y, sizes):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y)
+        sizes = tuple(int(n) for n in sizes)
+        if sum(sizes) != X.shape[0] or y.shape != X.shape[:1]:
+            raise ValueError("shard sizes and labels must match the pool's sample count.")
+        shards = []
+        lo = 0
+        for n in sizes:
+            shards.append(DatasetShard(X[lo : lo + n], y[lo : lo + n]))
+            lo += n
+        self = super().__new__(cls, shards)
+        self.X, self.y, self.sizes = X, y, sizes
+        return self
+
+    def __reduce__(self):
+        return Shards, (self.X, self.y, self.sizes)
 
 
-def stacked_shards(samples) -> list[DatasetShard]:
+def stacked_shards(samples) -> Shards:
     """One shard per (X, y) pair of samples, all row views of one array."""
     X = np.concatenate([x for x, _ in samples])
     y = np.concatenate([y for _, y in samples])
-    return row_shards(X, y, [x.shape[0] for x, _ in samples])
+    return Shards(X, y, [x.shape[0] for x, _ in samples])
 
 
-def _shards_from_indices(X, y, parts) -> list[DatasetShard]:
+def _shards_from_indices(X, y, parts) -> Shards:
     order = np.concatenate(parts)
-    return row_shards(X[order], y[order], [idx.shape[0] for idx in parts])
+    return Shards(X[order], y[order], [idx.shape[0] for idx in parts])
 
 
 def _distinct_labels(y: np.ndarray) -> np.ndarray:
@@ -217,7 +227,7 @@ def _distinct_labels(y: np.ndarray) -> np.ndarray:
     return s[np.append(True, s[1:] != s[:-1])] if s.size else s
 
 
-def partition_iid(X, y, num_clients: int, seed: int) -> list[DatasetShard]:
+def partition_iid(X, y, num_clients: int, seed: int) -> Shards:
     """Random permutation, then contiguous near-equal split (sizes differ by <= 1)."""
     X = np.asarray(X)
     y = np.asarray(y)
@@ -226,7 +236,7 @@ def partition_iid(X, y, num_clients: int, seed: int) -> list[DatasetShard]:
     return _shards_from_indices(X, y, parts)
 
 
-def partition_label_sorted(X, y, num_clients: int, classes_per_client: int) -> list[DatasetShard]:
+def partition_label_sorted(X, y, num_clients: int, classes_per_client: int) -> Shards:
     """Sort by label (stable), then contiguous near-equal split.
 
     With balanced classes and num_classes == num_clients * classes_per_client,
@@ -243,7 +253,7 @@ def partition_label_sorted(X, y, num_clients: int, classes_per_client: int) -> l
     return _shards_from_indices(X, y, parts)
 
 
-def partition_dirichlet(X, y, num_clients: int, concentration: float, seed: int) -> list[DatasetShard]:
+def partition_dirichlet(X, y, num_clients: int, concentration: float, seed: int) -> Shards:
     """Per-class Dirichlet allocation of samples to clients.
 
     For each class, client proportions are drawn from Dir(concentration) and

@@ -36,7 +36,7 @@ from .metrics import (
     population_risk_estimate,
     shard_risks,
 )
-from .models import ModelSpec, build_layout, init_params, loss_and_grad
+from .models import ModelSpec, build_layout, check_labels, init_params, loss_and_grad
 from .params import (
     WEIGHT_SUM_TOL,
     BlockLayout,
@@ -580,6 +580,20 @@ def run_experiments(
                     f"tau*batch_size = {schedule.tau * schedule.batch_size} exceeds the smallest "
                     f"shard ({smallest}): config violates the without-replacement sampling model."
                 )
+    live_control = algorithm in CONTROL_ALGORITHMS and not pin_control
+    if live_control:
+        for role in (Role.HEAD, Role.REPRESENTATION):
+            period = schedule.period(role)
+            # scaffold_control_update's scale
+            if layout.role_size(role) > 0 and not np.isfinite(1.0 / (schedule.eta * period)):
+                raise ValueError(
+                    f"eta = {schedule.eta!r} is too small for the control update: "
+                    f"1/(eta * {period}) overflows."
+                )
+    # each run's training shards laid end to end once, for the label check and the risks
+    trains = [pooled(run.shards) for run in runs]
+    for train in trains:
+        check_labels(model, train.y)
 
     # rows g*K to (g+1)*K of each (G*K, P) matrix are run g's clients, and
     # blocks[g] selects them; the matrices are only updated in place
@@ -587,7 +601,6 @@ def run_experiments(
     blocks = [slice(g * num_clients, (g + 1) * num_clients) for g in range(num_runs)]
     inits = [init_params(model, layout, streams.substream(run.seed, streams.INIT)) for run in runs]
     theta = np.repeat(np.stack([v.values for v in inits]), num_clients, axis=0)
-    live_control = algorithm in CONTROL_ALGORITHMS and not pin_control
     if live_control:
         control = np.zeros_like(theta)
         snapshot = theta.copy()
@@ -603,8 +616,7 @@ def run_experiments(
     records: list[list[MetricsRecord]] = [[] for _ in runs]
     risks_of = None
     if risk_every_sync:
-        # each run's risk data, laid end to end once for the whole run
-        pools = [(pooled(run.shards), pooled(run.pop_source)) for run in runs]
+        pools = [(train, pooled(run.pop_source)) for run, train in zip(runs, trains)]
 
         def risks_of(g, values):
             return _sync_risks(model, ParamVector(values, layout), pools[g], w, per_client_risks)

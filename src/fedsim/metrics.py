@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import GaussianLinear
+from .data import GaussianLinear, Shards, stacked_shards
 from .models import (
     ModelSpec,
     RidgeSpec,
@@ -47,59 +47,17 @@ class MetricsRecord:
         return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class PooledShards:
-    """Shards laid end to end: X (N, d), y (N,), and each shard's sample count.
-
-    A run pools its shards once, so that each sync evaluates all of them in
-    one pass without copying them again.
-    """
-
-    X: np.ndarray
-    y: np.ndarray
-    sizes: tuple[int, ...]
-
-
-def _end_to_end(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts joined along the first axis.
-
-    When they are consecutive row blocks of one C-contiguous array, as
-    data.row_shards lays shards out, this is a view of that array and copies
-    nothing; otherwise a concatenation.
-    """
-    base = parts[0].base
-    if base is not None and base.flags.c_contiguous and base.ndim == parts[0].ndim:
-        if base.strides[0] > 0:
-            offset = parts[0].__array_interface__["data"][0] - base.__array_interface__["data"][0]
-            lo = offset // base.strides[0]
-            whole = base[lo : lo + sum(len(p) for p in parts)]
-            at = 0
-            for p in parts:
-                # same address, shape, strides and dtype as the next slice of whole
-                if p.__array_interface__ != whole[at : at + len(p)].__array_interface__:
-                    break
-                at += len(p)
-            else:
-                return whole
-    return np.concatenate(parts)
-
-
 def pooled(source):
-    """A sequence of DatasetShard as PooledShards; anything else as it is."""
-    if source is None or isinstance(source, (PooledShards, GaussianLinear)):
+    """A Shards, a GaussianLinear or None as it is; any other shard sequence as a Shards copy."""
+    if source is None or isinstance(source, (Shards, GaussianLinear)):
         return source
-    shards = list(source)
-    return PooledShards(
-        _end_to_end([s.X for s in shards]),
-        _end_to_end([s.y for s in shards]),
-        tuple(s.n for s in shards),
-    )
+    return stacked_shards([(s.X, s.y) for s in source])
 
 
 def shard_risks(model: ModelSpec, params: ParamVector, shards) -> list[float]:
     """Mean loss of params on each shard, as batch_loss per shard would give it.
 
-    shards is a sequence of DatasetShard or their PooledShards.
+    shards is a sequence of DatasetShard, such as a Shards.
     """
     pool = pooled(shards)
     values = batch_loss(model, params, pool.X, pool.y, segments=pool.sizes)
@@ -128,7 +86,7 @@ def population_risk_estimate(
 
     source selects the route:
       - GaussianLinear with a ridge model: exact closed form;
-      - a sequence of DatasetShard, or their PooledShards: held-out estimate.
+      - a sequence of DatasetShard, such as a Shards: held-out estimate.
     """
     if isinstance(source, GaussianLinear):
         if not isinstance(model, RidgeSpec):

@@ -274,9 +274,23 @@ def _ridge_eval(model, theta, X, y, need_grad, mm=np.matmul):
     return 0.5 * r * r, grad
 
 
-def _logistic_eval(model, theta, X, y, need_grad, mm=np.matmul):
-    if not np.all(np.abs(y) == 1):
+def check_labels(model: ModelSpec, y: np.ndarray) -> None:
+    """Raise ValueError unless the model's loss takes the labels y.
+
+    MLP labels must be integral (of any dtype) and in range(num_classes);
+    logistic labels must be -1 or +1; ridge takes any target.
+    """
+    if isinstance(model, MlpSpec):
+        if y.dtype.kind == "f" and np.any(y != np.trunc(y)):
+            raise ValueError("class labels must be integers.")
+        if y.min() < 0 or y.max() >= model.num_classes:
+            raise ValueError("class labels out of range.")
+    elif isinstance(model, LogisticL2Spec) and not np.all(np.abs(y) == 1):
         raise ValueError("logistic labels must be -1 or +1.")
+
+
+def _logistic_eval(model, theta, X, y, need_grad, mm=np.matmul):
+    check_labels(model, y)
     yf = y.astype(np.float64)
     t = yf * _matvec(X, theta, mm)
     data = np.logaddexp(0.0, -t)
@@ -322,11 +336,8 @@ def _mlp_forward(model: MlpSpec, theta: np.ndarray, X: np.ndarray, mm=np.matmul)
 
 
 def _mlp_eval(model, theta, X, y, need_grad, mm=np.matmul):
-    if y.dtype.kind == "f" and np.any(y != np.trunc(y)):
-        raise ValueError("class labels must be integers.")
+    check_labels(model, y)
     labels = y.astype(np.int64)
-    if labels.min() < 0 or labels.max() >= model.num_classes:
-        raise ValueError("class labels out of range.")
     layers, acts, pre = _mlp_forward(model, theta, X, mm)
     k, n = labels.shape
     picked = (np.arange(k)[:, None], np.arange(n), labels)  # each sample's own class

@@ -129,7 +129,7 @@ def client_weights(weights: Sequence[float] | None, n: int, per: str = "client")
         return np.full(n, 1.0 / n)
     w = np.asarray([float(x) for x in weights], dtype=np.float64)
     if w.shape != (n,):
-        raise ValueError(f"one weight per {per} required.")
+        raise ValueError(f"one weight per {per} required ({n} entries).")
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ValueError("weights must be finite and non-negative.")
     total = 0.0

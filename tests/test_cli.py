@@ -252,6 +252,51 @@ def test_fractional_class_labels_exit_1_without_metrics(tmp_path, capsys):
     assert not (tmp_path / "o" / "metrics.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "family, label, message",
+    [
+        ("mlp", 1.5, "class labels must be integers."),
+        ("mlp", 3.0, "class labels out of range."),
+        ("logistic_l2", 0.0, "logistic labels must be -1 or +1."),
+    ],
+)
+def test_a_late_invalid_label_exits_1_at_set_up(tmp_path, capsys, family, label, message):
+    # row 17 is in no batch of the first round, so only a set-up check of
+    # every shard label stops the run before it writes metrics.jsonl
+    X = np.random.default_rng(9).standard_normal((24, 3))
+    y = np.arange(24) % 3 if family == "mlp" else np.where(np.arange(24) % 2, 1.0, -1.0)
+    y = y.astype(np.float64)
+    y[17] = label
+    data = tmp_path / "labels.csv"
+    np.savetxt(data, np.column_stack([X, y]), delimiter=",")
+    doc = _mlp_doc() if family == "mlp" else _ridge_doc()
+    if family != "mlp":
+        doc["model"] = {"family": "logistic_l2", "input_dim": 3}
+    doc["data"] = {
+        "source": {"kind": "file", "path": str(data)},
+        "partition": {"mode": "iid"},
+        "n_per_client": 12,
+    }
+    doc["schedule"].update(tau=2, batch_size=1)
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o" / "metrics.jsonl").exists()
+
+
+def test_a_step_size_whose_control_scale_overflows_exits_1(tmp_path, capsys):
+    # 5e-324 passes validation, but 1/(eta * tau) is inf: the first control
+    # update would turn every control variate non-finite
+    doc = _ridge_doc(algorithm="scaffold", clients=3)
+    doc["schedule"].update(eta=5e-324, tau=2)
+    assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: eta = 5e-324 is too small for the control update: "
+        "1/(eta * 2) overflows.\n"
+    ), err
+    assert not (tmp_path / "o" / "metrics.jsonl").exists()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_shard_too_small_for_a_round_exits_1_without_metrics(tmp_path, capsys, seed):
     # a Dirichlet 0.1 split of 48 samples leaves some client fewer than

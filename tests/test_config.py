@@ -18,7 +18,7 @@ from fedsim.config import (
     parse_bound_config,
     parse_config,
 )
-from fedsim.data import GaussianClusters, GaussianLinear
+from fedsim.data import GaussianClusters, GaussianLinear, Shards
 
 
 def _doc(**overrides):
@@ -283,7 +283,7 @@ def test_build_shards_routes():
     doc = _mlp_doc()
     doc["data"]["holdout_per_client"] = 8
     shards, pop = build_shards(parse_config(doc), seed=3)
-    assert isinstance(pop, list) and len(pop) == 3 and all(h.n == 8 for h in pop)
+    assert isinstance(pop, Shards) and len(pop) == 3 and all(h.n == 8 for h in pop)
 
     shards, pop = build_shards(parse_config(_mlp_doc()), seed=3)
     assert pop is None  # no holdout, no closed form
@@ -294,6 +294,40 @@ def test_build_shards_routes():
     shards, _ = build_shards(parse_config(pooled), seed=3)
     assert len(shards) == 3
     assert sum(s.n for s in shards) == 60
+
+
+def _routes(tmp_path):
+    """(name, config) for every way build_shards can lay out shards."""
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"{i % 5}.5 {i % 3} {i % 4}\n" for i in range(24)))
+    file_doc = _mlp_doc()
+    file_doc["data"]["source"] = {"kind": "file", "path": str(path)}
+    file_doc["data"]["partition"] = {"mode": "iid"}
+    holdout = _mlp_doc()
+    holdout["data"]["holdout_per_client"] = 8
+    docs = {"per_client": _mlp_doc(), "file": file_doc, "holdout": holdout}
+    for mode, extra in (
+        ("iid", {}),
+        ("label_sorted", {"classes_per_client": 2}),
+        ("dirichlet", {"concentration": 0.5}),
+    ):
+        docs[mode] = _mlp_doc()
+        docs[mode]["data"]["partition"] = {"mode": mode, **extra}
+    return docs
+
+
+@pytest.mark.parametrize(
+    "route", ["per_client", "iid", "label_sorted", "dirichlet", "file", "holdout"]
+)
+def test_build_shards_returns_shards_that_view_their_pool(tmp_path, route):
+    shards, pop = build_shards(parse_config(_routes(tmp_path)[route]), seed=3)
+    built = pop if route == "holdout" else shards
+    assert isinstance(built, Shards) and len(built) == 3
+    assert built.sizes == tuple(s.n for s in built) and sum(built.sizes) == built.X.shape[0]
+    for shard in built:
+        assert np.shares_memory(shard.X, built.X) and np.shares_memory(shard.y, built.y)
+    assert np.array_equal(built.X, np.concatenate([s.X for s in built]))
+    assert np.array_equal(built.y, np.concatenate([s.y for s in built]))
 
 
 def test_bound_config_parse_and_build():
@@ -334,6 +368,22 @@ def test_bound_config_validation():
         parse_bound_config(dict(base, identities={"num_sampled": [], "draws": 1000}))
     with pytest.raises(ConfigError, match=r"bound config\.weights must contain only finite"):
         parse_bound_config(dict(base, weights=[float("nan"), float("nan")]))
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([0.5, 0.25], r"one weight per client required \(3 entries\)"),
+        ([1.5, -0.25, -0.25], "must be finite and non-negative"),
+        ([0.5, 0.3, 0.1], "must sum to 1 within"),
+    ],
+)
+def test_both_parsers_apply_the_weight_rule_at_parse_time(weights, message):
+    with pytest.raises(ConfigError, match=rf"^config\.weights: .*{message}"):
+        parse_config(_doc(weights=weights))
+    bound = {"clients": 3, "n_per_client": 20, "dim": 2, "l2": 0.5, "trials": 150, "seed": 4}
+    with pytest.raises(ConfigError, match=rf"^bound config\.weights: .*{message}"):
+        parse_bound_config(dict(bound, weights=weights))
 
 
 @pytest.mark.parametrize("draws", [2, 99])

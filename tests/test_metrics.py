@@ -1,9 +1,11 @@
 """Risk estimators and consensus distances."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from fedsim.data import DatasetShard, GaussianLinear, generate, row_shards
+from fedsim.data import DatasetShard, GaussianLinear, Shards, generate
 from fedsim.metrics import (
     accuracy,
     consensus_map,
@@ -180,14 +182,20 @@ def test_accuracy_hand_cases():
 def test_pooled_takes_consecutive_row_views_without_a_copy():
     rng = np.random.default_rng(3)
     X, y = rng.standard_normal((12, 2)), rng.integers(0, 3, size=12)
-    shards = row_shards(X, y, [3, 4, 5])
-    for part in (shards, shards[1:], shards[:1]):
-        pool = pooled(part)
-        assert np.shares_memory(pool.X, X) and np.shares_memory(pool.y, y)
-        assert np.array_equal(pool.X, np.concatenate([s.X for s in part]))
-        assert np.array_equal(pool.y, np.concatenate([s.y for s in part]))
-    # out of order, with a gap, or not views of one array: a copy of the same values
+    shards = Shards(X, y, [3, 4, 5])
+    assert pooled(shards) is shards
+    assert np.shares_memory(shards.X, X) and np.shares_memory(shards.y, y)
+    assert shards.sizes == (3, 4, 5)
+    assert np.array_equal(shards.X, np.concatenate([s.X for s in shards]))
+    assert np.array_equal(shards.y, np.concatenate([s.y for s in shards]))
+    again = pickle.loads(pickle.dumps(shards))
+    assert again.sizes == shards.sizes and np.array_equal(again[2].X, X[7:])
+    for sizes, labels in (([3, 4], y), ([3, 4, 5], y[:11])):
+        with pytest.raises(ValueError, match="sizes and labels must match"):
+            Shards(X, labels, sizes)
+    # any other sequence, even of the same views in order: one Shards copy of the same values
     others = [
+        list(shards),
         [shards[1], shards[0]],
         [shards[0], shards[2]],
         [DatasetShard(X[:3], y[:3]), DatasetShard(X[3:].copy(), y[3:].copy())],
@@ -195,6 +203,9 @@ def test_pooled_takes_consecutive_row_views_without_a_copy():
     ]
     for part in others:
         pool = pooled(part)
+        assert isinstance(pool, Shards) and pool.sizes == tuple(s.n for s in part)
         assert not np.shares_memory(pool.X, X)
         assert np.array_equal(pool.X, np.concatenate([s.X for s in part]))
         assert np.array_equal(pool.y, np.concatenate([s.y for s in part]))
+        for copy, shard in zip(pool, part):
+            assert np.shares_memory(copy.X, pool.X) and np.array_equal(copy.X, shard.X)
