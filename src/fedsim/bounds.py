@@ -109,7 +109,8 @@ def one_round_fedavg_erm(
 
     Returns X (T, K, n, d), y (T, K, n), the local ERMs (T, K, d) and the
     aggregates (T, d) for the T trials in trials. Client k of trial t draws
-    its sample from substream(seed, TRIAL, t, k). The aggregates are one
+    its sample from the stream (seed, TRIAL, t, k); the block's stream states
+    are derived in one rng.seed_states call. The aggregates are one
     params.weighted_average over the client axis, which is element-wise, so
     each row equals weighted_average of its trial's locals bit for bit.
     """
@@ -118,10 +119,11 @@ def one_round_fedavg_erm(
     k_clients, n = config.num_clients, config.n_per_client
     X = np.empty((len(trials), k_clients, n, gen_spec.dim))
     y = np.empty((len(trials), k_clients, n))
-    for i, t in enumerate(trials):
+    paths = streams.stream_paths(streams.TRIAL, np.asarray(trials)[:, None], np.arange(k_clients))
+    states = streams.seed_states(config.seed, paths)
+    for i in range(len(trials)):
         for k in range(k_clients):
-            gen = streams.substream(config.seed, streams.TRIAL, t, k)
-            X[i, k], y[i, k] = gen_spec.sample(n, k, gen)
+            X[i, k], y[i, k] = gen_spec.sample(n, k, streams.from_state(states[i, k]))
     locals_ = erm_closed_form(model, X.reshape(-1, n, gen_spec.dim), y.reshape(-1, n))
     locals_ = locals_.reshape(len(trials), k_clients, gen_spec.dim)
     return X, y, locals_, weighted_average(locals_.swapaxes(0, 1), config.weights)

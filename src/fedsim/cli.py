@@ -240,12 +240,15 @@ def _seeds_in_lockstep(cfg, seeds) -> list[dict]:
 
 
 def _seed_alone(cfg, canonical, seed) -> dict:
+    """The final metrics of one seed; a training error names the grid point and seed."""
     shards, pop_source = build_shards(cfg, seed)
+    point = "alpha={alpha} tau={tau} eta={eta!r}".format(**canonical["schedule"]) + f" seed={seed}"
     try:
         model, result = _execute(cfg, seed, shards, pop_source, cadence=0)
     except DivergenceError as exc:
-        point = "alpha={alpha} tau={tau} eta={eta!r}".format(**canonical["schedule"])
-        raise DivergenceError(f"{point} seed={seed}: {exc}", exc.client) from exc
+        raise DivergenceError(f"{point}: {exc}", exc.client) from exc
+    except ValueError as exc:  # a set-up check of the engine; still exit 1
+        raise ValueError(f"{point}: {exc}") from exc
     return _final_metrics(cfg, model, shards, pop_source, result)
 
 

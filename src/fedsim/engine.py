@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import models
 from . import rng as streams
 from .data import DatasetShard, draw_round_batches, draw_round_batches_with_replacement
 from .metrics import (
@@ -141,9 +142,12 @@ def sample_participants(
     spec: ParticipationSpec,
     num_clients: int,
     weights: Sequence[float],
-    gen: np.random.Generator,
+    gen: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Participant indices (ascending) and their aggregation weights."""
+    """Participant indices (ascending) and their aggregation weights.
+
+    Full participation draws nothing, so gen may then be None.
+    """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (num_clients,):
         raise ValueError("one weight per client required.")
@@ -485,6 +489,33 @@ def _fill_risks(rec: MetricsRecord, risks) -> None:
     rec.train_risk, rec.test_risk, rec.gen_gap, rec.per_client_risks = risks
 
 
+def _round_streams(seeds: Sequence[int], num_clients: int, rounds: int, sampled: bool):
+    """Per round, each run's (K, 4) batch-stream states and its participation generator.
+
+    The states of a run's (BATCH, k, r) streams, and with sampled
+    participation of its (PARTICIPATION, r) streams, are derived for a chunk
+    of rounds in one rng.seed_states call, which pays only for many streams
+    at once; a chunk holds one round or more, up to models.STACK_ELEMENTS
+    state words. Without sampling, sample_participants draws nothing, so no
+    participation stream is built and the generators are None.
+    """
+
+    def states(*keys):
+        # uint32 keys give a uint32 path array, 4 bytes a word
+        paths = streams.stream_paths(*(np.asarray(key, dtype=np.uint32) for key in keys))
+        return [streams.seed_states(seed, paths) for seed in seeds]
+
+    per_chunk = max(1, models.STACK_ELEMENTS // (4 * num_clients))
+    clients = np.arange(num_clients)
+    for first in range(1, rounds + 1, per_chunk):
+        chunk = np.arange(first, min(first + per_chunk, rounds + 1))
+        batch = states(streams.BATCH, clients, chunk[:, None])
+        sync = states(streams.PARTICIPATION, chunk) if sampled else None
+        for i in range(len(chunk)):
+            gens = [None] * len(seeds) if sync is None else [streams.from_state(s[i]) for s in sync]
+            yield [b[i] for b in batch], gens
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """What one run of a stack owns: its shards, seed, population source and record callback."""
@@ -623,21 +654,30 @@ def run_experiments(
 
     draw = draw_round_batches_with_replacement if batches_with_replacement else draw_round_batches
     tau, eta, batch_size = schedule.tau, schedule.eta, schedule.batch_size
+    # each shard's first row in its run's pool, for the batch indices
+    starts = [np.cumsum((0,) + train.sizes[:-1])[:, None, None] for train in trains]
+    round_streams = _round_streams(
+        [run.seed for run in runs], num_clients, schedule.rounds, participation.mode != "full"
+    )
     step = 0
 
     with _RecordQueue(risks_of, overlap_risks and risk_every_sync) as queue:
-        for r in range(1, schedule.rounds + 1):
-            owners = [(run, k) for run in runs for k in range(num_clients)]
-            batches = [
-                draw(
-                    run.shards[k], tau, batch_size, streams.substream(run.seed, streams.BATCH, k, r)
+        for r, (batch_states, sync_gens) in enumerate(round_streams, start=1):
+            # (G*K, tau, b, d) and (G*K, tau, b): step t reads every client's batch at once,
+            # gathered from each run's pool with one index
+            X_parts, y_parts = [], []
+            for train, first, states in zip(trains, starts, batch_states):
+                idx = np.stack(
+                    [
+                        draw(train[k], tau, batch_size, streams.from_state(states[k]))
+                        for k in range(num_clients)
+                    ]
                 )
-                for run, k in owners
-            ]
-            # (G*K, tau, b, d) and (G*K, tau, b): step t reads every client's batch at once
-            round_X = np.stack([run.shards[k].X[idx] for (run, k), idx in zip(owners, batches)])
-            round_y = np.stack([run.shards[k].y[idx] for (run, k), idx in zip(owners, batches)])
-            sync_gens = [streams.substream(run.seed, streams.PARTICIPATION, r) for run in runs]
+                idx += first
+                X_parts.append(train.X[idx])
+                y_parts.append(train.y[idx])
+            round_X = X_parts[0] if num_runs == 1 else np.concatenate(X_parts)
+            round_y = y_parts[0] if num_runs == 1 else np.concatenate(y_parts)
 
             for t in range(tau):
                 step += 1

@@ -420,6 +420,26 @@ def test_sweep_divergence_names_the_grid_point(tmp_path, capsys, monkeypatch, wo
     ), err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_set_up_error_at_one_grid_point_names_the_point(tmp_path, capsys, monkeypatch, workers):
+    # eta = 5e-324 passes validation, but the engine's set-up check rejects
+    # its control scale; the message names the point and the seed that met it
+    golden = os.path.join(os.path.dirname(__file__), "golden", "configs")
+    with open(os.path.join(golden, "scaffold_ridge_perclient_withrep.json"), "rb") as fh:
+        doc = json.load(fh)
+    del doc["seed"]
+    doc["seeds"] = [1, 2]
+    monkeypatch.setenv("FEDSIM_WORKERS", workers)
+    out = tmp_path / "o"
+    grid = "eta=0.05,5e-324"
+    assert main(["sweep", _write(tmp_path, doc), "--grid", grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: alpha=1 tau=4 eta=5e-324 seed=1: eta = 5e-324 is too small for the "
+        "control update: 1/(eta * 4) overflows.\n"
+    )
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_rejects_invalid_grid_point(tmp_path):
     cfg = _write(tmp_path, _ridge_doc())  # fedavg: alpha must stay 1
     assert main(["sweep", cfg, "--grid", "alpha=1,5", "--out", str(tmp_path / "o")]) == 1
