@@ -27,17 +27,16 @@ from . import __version__
 from .bounds import verify_participation_identities, verify_theorem1
 from .config import (
     ConfigError,
-    ExperimentConfig,
     build_bound_trial_config,
     build_shards,
     canonical_digest,
+    identity_checks,
     load_bound_config,
     load_config,
-    parse_config,
 )
 from .engine import DivergenceError, RunSpec, comm_closed_form, run_experiment, run_experiments
 from .metrics import accuracy, consensus_map, empirical_risk, population_risk_estimate
-from .models import RidgeSpec, build_layout
+from .models import RidgeSpec
 
 WORKERS_ENV = "FEDSIM_WORKERS"
 
@@ -64,45 +63,6 @@ def _csv_writer(fh, prov: dict):
     return csv.writer(fh)
 
 
-def _run_options(cfg: ExperimentConfig, cadence=None) -> dict:
-    """The engine options of a config that every run of it shares."""
-    return {
-        "representation_layers": cfg.representation_layers,
-        "weights": cfg.weights,
-        "participation": cfg.participation_spec(),
-        "batches_with_replacement": cfg.canonical["data"]["batches_with_replacement"],
-        "consensus_every": cfg.cadence if cadence is None else cadence,
-        "risk_every_sync": cfg.risks_at_sync,
-        "per_client_risks": cfg.per_client_risks,
-    }
-
-
-def _execute(
-    cfg: ExperimentConfig,
-    seed: int,
-    shards,
-    pop_source,
-    *,
-    cadence=None,
-    on_record=None,
-    overlap_risks=False,
-):
-    """Train on the (shards, pop_source) that config.build_shards gave for seed."""
-    model = cfg.model_spec()
-    result = run_experiment(
-        cfg.algorithm,
-        model,
-        shards,
-        cfg.schedule_spec(),
-        seed=seed,
-        pop_source=pop_source,
-        on_record=on_record,
-        overlap_risks=overlap_risks,
-        **_run_options(cfg, cadence),
-    )
-    return model, result
-
-
 def _can_overlap_risks() -> bool:
     """Whether run may fork a helper for its sync risks: 2+ usable CPUs and fork."""
     try:
@@ -112,8 +72,8 @@ def _can_overlap_risks() -> bool:
     return cpus >= 2 and "fork" in multiprocessing.get_all_start_methods()
 
 
-def _final_metrics(cfg, model, shards, pop_source, result) -> dict:
-    w = cfg.weights
+def _final_metrics(cfg, shards, pop_source, result) -> dict:
+    model, w = cfg.model, cfg.weights
     train = empirical_risk(model, result.final_params, shards, w)
     test = acc = None
     if pop_source is not None:
@@ -153,14 +113,10 @@ def cmd_run(args) -> int:
         metrics_fh.write(_dump(rec.to_row()) + "\n")
 
     try:
-        model, result = _execute(
-            cfg,
-            seed,
-            shards,
-            pop_source,
-            cadence=args.cadence,
-            on_record=sink,
-            overlap_risks=_can_overlap_risks(),
+        result = run_experiment(
+            cfg.algorithm, cfg.model, shards, cfg.schedule, seed=seed, pop_source=pop_source,
+            on_record=sink, overlap_risks=_can_overlap_risks(),
+            **cfg.run_options(cadence=args.cadence),
         )
     finally:
         if metrics_fh is not None:
@@ -168,8 +124,8 @@ def cmd_run(args) -> int:
     elapsed = time.monotonic() - started
 
     summary = {"provenance": prov, "algorithm": cfg.algorithm, "seed": seed,
-               "steps": result.steps, "rounds": cfg.canonical["schedule"]["rounds"]}
-    summary.update(_final_metrics(cfg, model, shards, pop_source, result))
+               "steps": result.steps, "rounds": cfg.schedule.rounds}
+    summary.update(_final_metrics(cfg, shards, pop_source, result))
     summary["final_consensus"] = consensus_map(
         np.stack([p.values for p in result.client_params]), result.layout
     )
@@ -177,9 +133,7 @@ def cmd_run(args) -> int:
         "uploaded_per_client": [int(x) for x in result.comm.uploaded],
         "downloaded_per_client": [int(x) for x in result.comm.downloaded],
         "total_uploaded": result.comm.total_uploaded,
-        "closed_form_per_client_per_direction": comm_closed_form(
-            cfg.schedule_spec(), result.layout
-        ),
+        "closed_form_per_client_per_direction": comm_closed_form(cfg.schedule, result.layout),
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     print(f"run finished in {elapsed:.2f}s; outputs in {out_dir}", file=sys.stderr)
@@ -188,6 +142,14 @@ def cmd_run(args) -> int:
 
 
 GRID_KEYS = ("alpha", "tau", "eta", "seed")
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def parse_grid(spec: str) -> list[tuple[str, list]]:
@@ -213,7 +175,8 @@ def parse_grid(spec: str) -> list[tuple[str, list]]:
             try:
                 parsed.append(float(v) if key == "eta" else int(v))
             except ValueError as exc:
-                raise ConfigError(f"grid value {v!r} for {key!r} is not a number.") from exc
+                kind = "an integer" if _is_number(v) else "a number"
+                raise ConfigError(f"grid value {v!r} for {key!r} is not {kind}.") from exc
         if not parsed:
             raise ConfigError(f"grid key {key!r} has no values.")
         axes.append((key, parsed))
@@ -222,65 +185,54 @@ def parse_grid(spec: str) -> list[tuple[str, list]]:
     return axes
 
 
-def _seeds_in_lockstep(cfg, seeds) -> list[dict]:
+def _seeds_in_lockstep(cfg) -> list[dict]:
     """The final metrics of each seed, from one stack of all the seeds' runs."""
-    data = [build_shards(cfg, seed) for seed in seeds]
-    model = cfg.model_spec()
+    data = [build_shards(cfg, seed) for seed in cfg.seeds]
     results = run_experiments(
         cfg.algorithm,
-        model,
-        cfg.schedule_spec(),
-        [RunSpec(shards, seed, pop_source) for seed, (shards, pop_source) in zip(seeds, data)],
-        **_run_options(cfg, 0),
+        cfg.model,
+        cfg.schedule,
+        [RunSpec(shards, seed, pop_source) for seed, (shards, pop_source) in zip(cfg.seeds, data)],
+        **cfg.run_options(cadence=0),
     )
     return [
-        _final_metrics(cfg, model, shards, pop_source, result)
+        _final_metrics(cfg, shards, pop_source, result)
         for (shards, pop_source), result in zip(data, results)
     ]
 
 
-def _seed_alone(cfg, canonical, seed) -> dict:
+def _seed_alone(cfg, seed) -> dict:
     """The final metrics of one seed; a training error names the grid point and seed."""
     shards, pop_source = build_shards(cfg, seed)
-    point = "alpha={alpha} tau={tau} eta={eta!r}".format(**canonical["schedule"]) + f" seed={seed}"
+    s = cfg.schedule
+    point = f"alpha={s.alpha} tau={s.tau} eta={s.eta!r} seed={seed}"
     try:
-        model, result = _execute(cfg, seed, shards, pop_source, cadence=0)
+        result = run_experiment(
+            cfg.algorithm, cfg.model, shards, cfg.schedule, seed=seed, pop_source=pop_source,
+            **cfg.run_options(cadence=0),
+        )
     except DivergenceError as exc:
         raise DivergenceError(f"{point}: {exc}", exc.client) from exc
     except ValueError as exc:  # a set-up check of the engine; still exit 1
         raise ValueError(f"{point}: {exc}") from exc
-    return _final_metrics(cfg, model, shards, pop_source, result)
+    return _final_metrics(cfg, shards, pop_source, result)
 
 
-def _sweep_point(payload):
-    """Run one grid point (all its seeds); module-level so workers can pickle it.
+def _sweep_point(cfg) -> list[dict]:
+    """The final metrics of each seed of a grid point; module-level so workers can pickle it.
 
     The seeds step together in one stack. If the stack raises anything, the
     seeds run again one at a time, each building its shards and then
     training, so a failing point exits as the first failing seed alone does.
     """
-    canonical, seeds = payload
-    cfg = parse_config(canonical)
-    finals = None
-    if len(seeds) > 1:
+    if len(cfg.seeds) > 1:
         try:
-            finals = _seeds_in_lockstep(cfg, seeds)
+            return _seeds_in_lockstep(cfg)
         except Exception:
             # the lone runs below raise the error to report, or recover from
             # one that only the stack met, such as a larger allocation failing
             pass
-    if finals is None:
-        finals = [_seed_alone(cfg, canonical, seed) for seed in seeds]
-    layout = build_layout(cfg.model_spec(), cfg.representation_layers)
-    schedule = cfg.schedule_spec()
-    comm = comm_closed_form(schedule, layout)
-    return (
-        [f["final_train_risk"] for f in finals],
-        [f["final_test_risk"] for f in finals],
-        [f["accuracy"] for f in finals],
-        comm,
-        schedule.total_steps,
-    )
+    return [_seed_alone(cfg, seed) for seed in cfg.seeds]
 
 
 def _mean_std(values) -> tuple[float | None, float | None]:
@@ -303,10 +255,7 @@ def _workers() -> int:
 def cmd_sweep(args) -> int:
     workers = _workers()
     cfg = load_config(args.config)
-    if args.seed is not None:
-        base_seeds = [args.seed]
-    else:
-        base_seeds = cfg.seeds
+    base_seeds = [args.seed] if args.seed is not None else cfg.seeds
     axes = parse_grid(args.grid)
     out_dir = args.out if args.out is not None else cfg.output
     os.makedirs(out_dir, exist_ok=True)
@@ -314,23 +263,16 @@ def cmd_sweep(args) -> int:
     points = []
     for combo in itertools.product(*(vals for _, vals in axes)):
         overrides = dict(zip((k for k, _ in axes), combo))
-        canonical = json.loads(json.dumps(cfg.canonical))  # deep copy
-        for key in ("alpha", "tau", "eta"):
-            if key in overrides:
-                canonical["schedule"][key] = overrides[key]
-        seeds = [overrides["seed"]] if "seed" in overrides else list(base_seeds)
-        canonical["seeds"] = seeds
-        parse_config(canonical)  # re-validate the overridden config
-        points.append((overrides, canonical, seeds))
+        seeds = [overrides.pop("seed")] if "seed" in overrides else base_seeds
+        points.append(cfg.point(seeds, **overrides))
 
-    payloads = [(canonical, seeds) for _, canonical, seeds in points]
     # a fork pool starts all its processes at once: no more than there are points
-    workers = min(workers, len(payloads))
+    workers = min(workers, len(points))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, payloads))
+            results = list(pool.map(_sweep_point, points))
     else:
-        results = [_sweep_point(p) for p in payloads]
+        results = [_sweep_point(p) for p in points]
 
     sweep_path = os.path.join(out_dir, "sweep.csv")
     prov = _provenance(cfg.digest(), base_seeds[0])
@@ -345,19 +287,18 @@ def cmd_sweep(args) -> int:
                 "comm_per_client_per_direction", "steps",
             ]
         )
-        for (overrides, canonical, seeds), (trains, tests, accs, comm, steps) in zip(
-            points, results
-        ):
-            sched = canonical["schedule"]
-            tr_m, tr_s = _mean_std(trains)
-            te_m, te_s = _mean_std(tests)
-            ac_m, ac_s = _mean_std(accs)
+        for point, finals in zip(points, results):
+            sched = point.schedule
+            tr_m, tr_s = _mean_std([f["final_train_risk"] for f in finals])
+            te_m, te_s = _mean_std([f["final_test_risk"] for f in finals])
+            ac_m, ac_s = _mean_std([f["accuracy"] for f in finals])
             writer.writerow(
                 [
-                    sched["alpha"], sched["tau"], repr(sched["eta"]),
-                    ";".join(str(s) for s in seeds), len(seeds),
+                    sched.alpha, sched.tau, repr(sched.eta),
+                    ";".join(str(s) for s in point.seeds), len(point.seeds),
                     _cell(tr_m), _cell(tr_s), _cell(te_m), _cell(te_s),
-                    _cell(ac_m), _cell(ac_s), comm, steps,
+                    _cell(ac_m), _cell(ac_s),
+                    comm_closed_form(sched, point.layout), sched.total_steps,
                 ]
             )
     print(f"wrote {sweep_path}")
@@ -381,24 +322,22 @@ def cmd_verify_bound(args) -> int:
     identity_reports = None
     all_passed = report.passed
     if args.identities:
-        ident = canonical["identities"] or {
-            "num_sampled": [canonical["clients"]],
-            "draws": 100000,
-        }
+        ident = identity_checks(canonical)
+        clients = trial_cfg.num_clients
         identity_reports = []
         for khat in ident["num_sampled"]:
             for scheme in ("with_replacement", "without_replacement"):
-                if scheme == "without_replacement" and khat > canonical["clients"]:
+                if scheme == "without_replacement" and khat > clients:
                     continue
                 rep = verify_participation_identities(
-                    canonical["clients"], khat, scheme, ident["draws"], canonical["seed"],
+                    clients, khat, scheme, ident["draws"], trial_cfg.seed,
                     weights=trial_cfg.weights,
                 )
                 identity_reports.append(rep.to_json_dict())
                 all_passed = all_passed and rep.passed
 
     doc = {
-        "provenance": _provenance(canonical_digest(canonical), canonical["seed"]),
+        "provenance": _provenance(canonical_digest(canonical), trial_cfg.seed),
         "report": report.to_json_dict(),
         "identity_reports": identity_reports,
     }
@@ -421,8 +360,7 @@ def cmd_verify_bound(args) -> int:
 
 def cmd_consensus_trace(args) -> int:
     cfg = load_config(args.config)
-    layout = build_layout(cfg.model_spec(), cfg.representation_layers)
-    if len(layout.blocks) < 2:
+    if len(cfg.layout.blocks) < 2:
         raise ConfigError("consensus-trace needs a model with at least 2 blocks.")
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     cadence = args.cadence if args.cadence is not None else 1
@@ -437,9 +375,11 @@ def cmd_consensus_trace(args) -> int:
     def sink(r, s, rec):
         rows.append((r, s, rec.consensus))
 
-    cfg.canonical["metrics"]["risks_at_sync"] = False
     shards, pop_source = build_shards(cfg, seed)
-    model, result = _execute(cfg, seed, shards, pop_source, cadence=cadence, on_record=sink)
+    result = run_experiment(
+        cfg.algorithm, cfg.model, shards, cfg.schedule, seed=seed, pop_source=pop_source,
+        on_record=sink, **cfg.run_options(cadence=cadence, risks_at_sync=False),
+    )
 
     trace_path = os.path.join(out_dir, "consensus.csv")
     block_names = [b.name for b in result.layout.blocks]

@@ -29,8 +29,8 @@ from .data import (
     stacked_shards,
 )
 from .engine import ALGORITHMS, PERIOD_ALGORITHMS, ParticipationSpec, ScheduleSpec
-from .models import LogisticL2Spec, MlpSpec, ModelSpec, RidgeSpec
-from .params import client_weights
+from .models import LogisticL2Spec, MlpSpec, ModelSpec, RidgeSpec, build_layout
+from .params import BlockLayout, client_weights
 
 
 class ConfigError(ValueError):
@@ -132,11 +132,16 @@ def canonical_digest(canonical: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully validated experiment. canonical is the normalized JSON dict."""
+    """A fully validated experiment: the canonical JSON dict and the engine inputs built from it."""
 
     canonical: dict
+    model: ModelSpec
+    schedule: ScheduleSpec
+    participation: ParticipationSpec
+    layout: BlockLayout
+    weights: list[float]
 
     @property
     def algorithm(self) -> str:
@@ -151,62 +156,42 @@ class ExperimentConfig:
         return list(self.canonical["seeds"])
 
     @property
-    def weights(self) -> list[float]:
-        w = self.canonical["weights"]
-        if w is None:
-            return [1.0 / self.num_clients] * self.num_clients
-        return list(w)
-
-    @property
     def output(self) -> str:
         return self.canonical["output"]
-
-    @property
-    def cadence(self) -> int:
-        return self.canonical["metrics"]["cadence"]
-
-    @property
-    def per_client_risks(self) -> bool:
-        return self.canonical["metrics"]["per_client_risks"]
-
-    @property
-    def risks_at_sync(self) -> bool:
-        return self.canonical["metrics"]["risks_at_sync"]
 
     @property
     def representation_layers(self) -> int:
         return self.canonical["model"].get("representation_layers", 0)
 
-    def model_spec(self) -> ModelSpec:
-        m = self.canonical["model"]
-        if m["family"] == "ridge":
-            return RidgeSpec(m["input_dim"], m["l2"])
-        if m["family"] == "logistic_l2":
-            return LogisticL2Spec(m["input_dim"], m["l2"])
-        return MlpSpec(
-            m["input_dim"],
-            tuple(m["hidden"]),
-            m["num_classes"],
-            m["activation"],
-            m["l2"],
-        )
+    def run_options(self, cadence: int | None = None, risks_at_sync: bool | None = None) -> dict:
+        """engine.run_experiments' options; cadence and risks_at_sync override the config's."""
+        metrics = self.canonical["metrics"]
+        return {
+            "representation_layers": self.representation_layers,
+            "weights": self.weights,
+            "participation": self.participation,
+            "batches_with_replacement": self.canonical["data"]["batches_with_replacement"],
+            "consensus_every": metrics["cadence"] if cadence is None else cadence,
+            "risk_every_sync": metrics["risks_at_sync"] if risks_at_sync is None else risks_at_sync,
+            "per_client_risks": metrics["per_client_risks"],
+        }
 
-    def schedule_spec(self) -> ScheduleSpec:
-        s = self.canonical["schedule"]
-        return ScheduleSpec(
-            tau=s["tau"],
-            eta=s["eta"],
-            rounds=s["rounds"],
-            batch_size=s["batch_size"],
-            alpha=s["alpha"],
-        )
-
-    def participation_spec(self) -> ParticipationSpec:
-        p = self.canonical["participation"]
-        return ParticipationSpec(p["mode"], p.get("num_sampled"))
+    def point(self, seeds, **schedule) -> "ExperimentConfig":
+        """This config run on the given seeds, with schedule keys replaced; validated anew."""
+        doc = dict(self.canonical, seeds=list(seeds))
+        doc["schedule"] = dict(doc["schedule"], **schedule)
+        return parse_config(doc)
 
     def digest(self) -> str:
         return canonical_digest(self.canonical)
+
+
+def _model_spec(m: dict) -> ModelSpec:
+    if m["family"] == "ridge":
+        return RidgeSpec(m["input_dim"], m["l2"])
+    if m["family"] == "logistic_l2":
+        return LogisticL2Spec(m["input_dim"], m["l2"])
+    return MlpSpec(m["input_dim"], m["hidden"], m["num_classes"], m["activation"], m["l2"])
 
 
 def _parse_model(m: dict) -> dict:
@@ -480,7 +465,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "metrics": metrics,
         "output": output,
     }
-    return ExperimentConfig(canonical)
+    model_spec = _model_spec(model)
+    return ExperimentConfig(
+        canonical,
+        model=model_spec,
+        schedule=ScheduleSpec(**schedule),
+        participation=ParticipationSpec(mode, participation.get("num_sampled")),
+        layout=build_layout(model_spec, model.get("representation_layers", 0)),
+        weights=client_weights(weights, clients).tolist(),
+    )
 
 
 def _read_json(path) -> dict:
@@ -617,34 +610,40 @@ def parse_bound_config(doc: dict) -> dict:
     out["weights"] = weights
 
     ident = doc.get("identities")
-    if ident is not None:
-        _check_keys(ident, "bound config.identities", set(), {"num_sampled", "draws"})
-        sampled = ident.get("num_sampled", [clients])
-        if not isinstance(sampled, list) or not sampled or not all(
-            isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in sampled
-        ):
-            raise ConfigError(
-                "bound config.identities.num_sampled must be a non-empty list of ints >= 1."
-            )
-        out["identities"] = {
-            "num_sampled": list(sampled),
-            # a 3-sigma check on fewer draws than the theorem check's trials means nothing
-            "draws": _as_int(
-                ident, "draws", "bound config.identities", default=100000, minimum=MIN_TRIALS
-            ),
-        }
-    else:
-        out["identities"] = None
+    out["identities"] = None if ident is None else _parse_identities(ident, clients)
     return out
+
+
+def _parse_identities(ident: dict, clients: int) -> dict:
+    _check_keys(ident, "bound config.identities", set(), {"num_sampled", "draws"})
+    sampled = ident.get("num_sampled", [clients])
+    if not isinstance(sampled, list) or not sampled or not all(
+        isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in sampled
+    ):
+        raise ConfigError(
+            "bound config.identities.num_sampled must be a non-empty list of ints >= 1."
+        )
+    return {
+        "num_sampled": list(sampled),
+        # a 3-sigma check on fewer draws than the theorem check's trials means nothing
+        "draws": _as_int(
+            ident, "draws", "bound config.identities", default=100000, minimum=MIN_TRIALS
+        ),
+    }
+
+
+def identity_checks(canonical: dict) -> dict:
+    """The participation-identity checks of a canonical bound config; defaults when it has none."""
+    return canonical["identities"] or _parse_identities({}, canonical["clients"])
 
 
 def load_bound_config(path) -> dict:
     return parse_bound_config(_read_json(path))
 
 
-def build_bound_trial_config(canonical: dict, seed: int | None = None) -> BoundTrialConfig:
+def build_bound_trial_config(canonical: dict) -> BoundTrialConfig:
     """Turn a canonical bound config into runnable trial inputs."""
-    seed = canonical["seed"] if seed is None else seed
+    seed = canonical["seed"]
     generator = _linear_law(canonical, canonical["dim"], canonical["clients"], seed)
     weights = canonical["weights"]
     try:
@@ -659,4 +658,3 @@ def build_bound_trial_config(canonical: dict, seed: int | None = None) -> BoundT
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-

@@ -4,13 +4,14 @@ One loop covers all four algorithms. Head blocks synchronize every tau local
 steps and representation blocks every alpha*tau; the averaging-period
 algorithms pin alpha to 1 so that every block syncs each round, and the
 control-variate algorithms add a drift correction to each local step. The
-loop is lockstep: the K clients' parameters, controls and snapshots are rows
-of (K, P) matrices, and one stacked loss_and_grad call advances every client
-by a local step, bit for bit as K single-client steps would. G runs of one
-config, such as a sweep point's seeds, can share the loop as row blocks of
-(G*K, P) matrices. Every random draw comes from a stream keyed by (seed,
-purpose, client, round), so results do not depend on evaluation order, stack
-or worker count. The sync-time risks may be computed in a forked helper
+loop is lockstep: the K clients' parameters and controls are rows of (K, P)
+matrices, the sync snapshot they share is one (P,) row, and one stacked
+loss_and_grad call advances every client by a local step, bit for bit as K
+single-client steps would. G runs of one config, such as a sweep point's
+seeds, can share the loop as row blocks of (G*K, P) matrices, with a (G, P)
+snapshot. Every random draw comes from a stream keyed by (seed, purpose,
+client, round), so results do not depend on evaluation order, stack or
+worker count. The sync-time risks may be computed in a forked helper
 process while training goes on; the records come out the same either way.
 """
 
@@ -39,11 +40,11 @@ from .metrics import (
 )
 from .models import ModelSpec, build_layout, check_labels, init_params, loss_and_grad
 from .params import (
-    WEIGHT_SUM_TOL,
     BlockLayout,
     ParamVector,
     Role,
     client_weights,
+    weight_total,
     weighted_average,
     weighted_sum,
 )
@@ -299,10 +300,8 @@ def aggregate(
     sampled twice counts twice. Returns the number of parameters synced per
     client.
     """
-    total = 0.0
-    for x in agg_weights:
-        total += float(x)
-    combine = weighted_average if abs(total - 1.0) <= WEIGHT_SUM_TOL else weighted_sum
+    _, to_one = weight_total(agg_weights)
+    combine = weighted_average if to_one else weighted_sum
     slices = layout.role_slices(role)
     for sl in slices:
         theta[:, sl] = combine(theta[participants, sl], agg_weights)
@@ -634,12 +633,19 @@ def run_experiments(
     theta = np.repeat(np.stack([v.values for v in inits]), num_clients, axis=0)
     if live_control:
         control = np.zeros_like(theta)
-        snapshot = theta.copy()
+        # a sync broadcasts one value to every client of a run, so the snapshot
+        # is one row per run
+        snapshot = np.stack([v.values for v in inits])
         c_bar = np.zeros((num_runs, p))
-        # one-row views for scaffold_control_update; they write through to the matrices
-        state = (theta, control, snapshot)
+        # one-row views for scaffold_control_update; they write through to the
+        # matrices, and the clients of run g share snapshot row g
         clients = [
-            ClientState(i % num_clients, *(ParamVector(m[i], layout) for m in state))
+            ClientState(
+                i % num_clients,
+                ParamVector(theta[i], layout),
+                ParamVector(control[i], layout),
+                ParamVector(snapshot[i // num_clients], layout),
+            )
             for i in range(theta.shape[0])
         ]
 
@@ -721,7 +727,7 @@ def run_experiments(
                             size = aggregate(th, layout, role, participants, agg_w)
                             if live_control:
                                 for sl in slices:
-                                    snapshot[rows, sl] = th[:, sl]
+                                    snapshot[g, sl] = th[0, sl]
                             comms[g].record_sync(size, participants)
 
                     if emit:

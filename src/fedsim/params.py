@@ -132,12 +132,18 @@ def client_weights(weights: Sequence[float] | None, n: int, per: str = "client")
         raise ValueError(f"one weight per {per} required ({n} entries).")
     if not np.all(np.isfinite(w)) or np.any(w < 0.0):
         raise ValueError("weights must be finite and non-negative.")
-    total = 0.0
-    for x in w.tolist():
-        total += x
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    total, to_one = weight_total(w.tolist())
+    if not to_one:
         raise ValueError(f"weights sum to {total!r}; they must sum to 1 within {WEIGHT_SUM_TOL}.")
     return w
+
+
+def weight_total(weights: Sequence[float]) -> tuple[float, bool]:
+    """The weights' total, summed left to right, and whether it is 1 within WEIGHT_SUM_TOL."""
+    total = 0.0
+    for x in weights:
+        total += float(x)
+    return total, abs(total - 1.0) <= WEIGHT_SUM_TOL
 
 
 def _rows_and_weights(rows, weights) -> tuple[np.ndarray, list[float]]:

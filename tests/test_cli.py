@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: files, headers, exit codes, determinism."""
 
+import copy
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedsim.cli import main, parse_grid
-from fedsim.config import ConfigError
+from fedsim.config import ConfigError, ExperimentConfig
 from fedsim.engine import ScheduleSpec, comm_closed_form
 from fedsim.models import MlpSpec, build_layout
 
@@ -360,6 +361,10 @@ def test_parse_grid():
         parse_grid(" ; ")
     with pytest.raises(ConfigError, match="not a number"):
         parse_grid("tau=x")
+    for key in ("alpha", "tau", "seed"):
+        message = rf"^grid value '1\.5' for '{key}' is not an integer\.$"
+        with pytest.raises(ConfigError, match=message):
+            parse_grid(f"{key}=1.5")
 
 
 def test_sweep_eta_rows_and_comm_column(tmp_path):
@@ -537,10 +542,8 @@ def test_sweep_pool_starts_no_more_workers_than_points(tmp_path, monkeypatch, wo
 def test_sweep_rejects_a_non_integer_worker_count_before_any_output(
     tmp_path, capsys, monkeypatch, value
 ):
-    from fedsim import cli
-
     built = []
-    monkeypatch.setattr(cli, "parse_config", lambda doc: built.append(doc))
+    monkeypatch.setattr(ExperimentConfig, "point", lambda *args, **kwargs: built.append(args))
     monkeypatch.setenv("FEDSIM_WORKERS", value)
     out = tmp_path / "o"
     cfg = _write(tmp_path, _ridge_doc())
@@ -677,6 +680,26 @@ def test_consensus_trace_drift_appears_between_syncs(tmp_path):
     assert any(v > 0 for v in by_block["layer1"])
     summary = json.loads((out / "consensus_summary.json").read_text())
     assert summary["time_averaged_consensus"]["layer1"] > 0.0
+
+
+def test_consensus_trace_leaves_the_loaded_config_as_parsed(tmp_path, monkeypatch):
+    from fedsim import cli
+
+    loaded = []
+    real = cli.load_config
+
+    def recorded(path):
+        cfg = real(path)
+        loaded.append((cfg, copy.deepcopy(cfg.canonical), cfg.digest()))
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", recorded)
+    path = _write(tmp_path, _mlp_doc())
+    assert main(["consensus-trace", path, "--out", str(tmp_path / "o")]) == 0
+    [(cfg, canonical, digest)] = loaded
+    # the trace runs without sync risks, which the config keeps on
+    assert canonical["metrics"]["risks_at_sync"] is True
+    assert cfg.canonical == canonical and cfg.digest() == digest
 
 
 def test_consensus_trace_needs_two_blocks(tmp_path, capsys):

@@ -215,7 +215,7 @@ def test_participation_validation():
     with pytest.raises(ConfigError, match="cannot exceed clients"):
         parse_config(doc)
     cfg = parse_config(_doc(participation={"mode": "with_replacement", "num_sampled": 2}))
-    spec = cfg.participation_spec()
+    spec = cfg.participation
     assert spec.mode == "with_replacement" and spec.num_sampled == 2
 
 
@@ -340,7 +340,7 @@ def test_bound_config_parse_and_build():
     trial = build_bound_trial_config(canon)
     assert trial.num_clients == 2 and trial.trials == 150
     assert np.array_equal(trial.weights, [0.5, 0.5])
-    override = build_bound_trial_config(canon, seed=9)
+    override = build_bound_trial_config(dict(canon, seed=9))
     assert override.seed == 9
     assert not np.array_equal(
         trial.generator.client_coefs, override.generator.client_coefs

@@ -1,8 +1,11 @@
 """Golden CLI outputs: small configs whose output files must not change.
 
 The expected files under tests/golden/expected were written by the CLI and
-are compared byte for byte. Floating-point bits depend on the numpy build and
-the BLAS kernels, so the comparison runs only in the environment recorded in
+are compared byte for byte: every case in process on one worker, the sweep
+also through a two-worker pool, and the run cases also in a child process
+pinned to one CPU, where run computes its sync risks inline rather than in a
+forked helper. Floating-point bits depend on the numpy build and the BLAS
+kernels, so the comparison runs only in the environment recorded in
 tests/golden/ENVIRONMENT.json and is skipped elsewhere. To record new golden
 outputs after an intended output change, run from the repository root:
 
@@ -14,11 +17,13 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fedsim
 from fedsim.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -79,18 +84,57 @@ def _recorded_environment() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_outputs_are_byte_identical(name, tmp_path, monkeypatch):
+def _require_recorded_environment() -> None:
     recorded = _recorded_environment()
     if environment() != recorded:
         pytest.skip(f"golden outputs were recorded with {recorded}, this is {environment()}")
-    monkeypatch.setenv("FEDSIM_WORKERS", "1")
-    run_case(name, str(tmp_path))
+
+
+def _assert_golden(name: str, out_dir) -> None:
     for fname in CASES[name][2]:
-        got = (tmp_path / fname).read_bytes()
+        got = (out_dir / fname).read_bytes()
         with open(os.path.join(EXPECTED, name, fname), "rb") as fh:
             want = fh.read()
         assert got == want, f"{name}/{fname} differs from its golden copy"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs_are_byte_identical(name, tmp_path, monkeypatch):
+    _require_recorded_environment()
+    monkeypatch.setenv("FEDSIM_WORKERS", "1")
+    run_case(name, str(tmp_path))
+    _assert_golden(name, tmp_path)
+
+
+def test_golden_sweep_through_a_two_worker_pool(tmp_path, monkeypatch):
+    _require_recorded_environment()
+    monkeypatch.setenv("FEDSIM_WORKERS", "2")
+    run_case("sweep_fedals_mlp", str(tmp_path))
+    _assert_golden("sweep_fedals_mlp", tmp_path)
+
+
+# Pinned to one CPU, run computes its sync risks inline instead of in a
+# forked helper process; the child exits 3 if it would still fork one.
+ONE_CPU_MAIN = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from fedsim import cli
+sys.exit(3 if cli._can_overlap_risks() else cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(n for n, case in CASES.items() if case[0] == "run"))
+def test_golden_runs_on_one_cpu_compute_risks_inline(name, tmp_path):
+    _require_recorded_environment()
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity call on this platform")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedsim.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-c", ONE_CPU_MAIN, "run", f"{name}.json", "--out", str(tmp_path)]
+    proc = subprocess.run(argv, cwd=CONFIGS, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _assert_golden(name, tmp_path)
 
 
 def regenerate() -> None:
