@@ -201,11 +201,15 @@ def _seeds_in_lockstep(cfg) -> list[dict]:
     ]
 
 
+def _point_label(schedule: dict) -> str:
+    """How a sweep's error message names a grid point, from its schedule values."""
+    return "alpha={alpha} tau={tau} eta={eta!r}".format_map(schedule)
+
+
 def _seed_alone(cfg, seed) -> dict:
     """The final metrics of one seed; a training error names the grid point and seed."""
     shards, pop_source = build_shards(cfg, seed)
-    s = cfg.schedule
-    point = f"alpha={s.alpha} tau={s.tau} eta={s.eta!r} seed={seed}"
+    point = f"{_point_label(vars(cfg.schedule))} seed={seed}"
     try:
         result = run_experiment(
             cfg.algorithm, cfg.model, shards, cfg.schedule, seed=seed, pop_source=pop_source,
@@ -213,7 +217,7 @@ def _seed_alone(cfg, seed) -> dict:
         )
     except DivergenceError as exc:
         raise DivergenceError(f"{point}: {exc}", exc.client) from exc
-    except ValueError as exc:  # a set-up check of the engine; still exit 1
+    except ValueError as exc:  # a set-up check on the data: shard size or labels; still exit 1
         raise ValueError(f"{point}: {exc}") from exc
     return _final_metrics(cfg, shards, pop_source, result)
 
@@ -260,11 +264,16 @@ def cmd_sweep(args) -> int:
     out_dir = args.out if args.out is not None else cfg.output
     os.makedirs(out_dir, exist_ok=True)
 
+    # every point is validated, the engine's set-up rules included, before any trains
     points = []
     for combo in itertools.product(*(vals for _, vals in axes)):
         overrides = dict(zip((k for k, _ in axes), combo))
         seeds = [overrides.pop("seed")] if "seed" in overrides else base_seeds
-        points.append(cfg.point(seeds, **overrides))
+        try:
+            points.append(cfg.point(seeds, **overrides))
+        except ConfigError as exc:
+            label = _point_label(dict(vars(cfg.schedule), **overrides))
+            raise ConfigError(f"{label}: {exc}") from exc
 
     # a fork pool starts all its processes at once: no more than there are points
     workers = min(workers, len(points))
@@ -370,15 +379,10 @@ def cmd_consensus_trace(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     prov = _provenance(cfg.digest(), seed)
 
-    rows = []
-
-    def sink(r, s, rec):
-        rows.append((r, s, rec.consensus))
-
     shards, pop_source = build_shards(cfg, seed)
     result = run_experiment(
         cfg.algorithm, cfg.model, shards, cfg.schedule, seed=seed, pop_source=pop_source,
-        on_record=sink, **cfg.run_options(cadence=cadence, risks_at_sync=False),
+        **cfg.run_options(cadence=cadence, risks_at_sync=False),
     )
 
     trace_path = os.path.join(out_dir, "consensus.csv")
@@ -387,14 +391,14 @@ def cmd_consensus_trace(args) -> int:
     with open(trace_path, "w", encoding="utf-8", newline="") as fh:
         writer = _csv_writer(fh, prov)
         writer.writerow(["round", "step", "block", "consensus"])
-        for r, s, cons in rows:
+        for rec in result.records:
             for name in block_names:
-                writer.writerow([r, s, name, repr(cons[name])])
-                sums[name] += cons[name]
-    n_rows = max(len(rows), 1)
+                writer.writerow([rec.round, rec.step, name, repr(rec.consensus[name])])
+                sums[name] += rec.consensus[name]
+    n_rows = max(len(result.records), 1)
     summary = {
         "provenance": prov,
-        "steps_recorded": len(rows),
+        "steps_recorded": len(result.records),
         "time_averaged_consensus": {name: sums[name] / n_rows for name in block_names},
     }
     summary_path = os.path.join(out_dir, "consensus_summary.json")

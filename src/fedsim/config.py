@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,9 @@ from .data import (
     partition_dirichlet,
     partition_iid,
     partition_label_sorted,
-    stacked_shards,
 )
-from .engine import ALGORITHMS, PERIOD_ALGORITHMS, ParticipationSpec, ScheduleSpec
-from .models import LogisticL2Spec, MlpSpec, ModelSpec, RidgeSpec, build_layout
+from .engine import MAX_SAMPLED, ParticipationSpec, ScheduleSpec, check_setup
+from .models import LogisticL2Spec, MlpSpec, ModelSpec, RidgeSpec
 from .params import BlockLayout, client_weights
 
 
@@ -61,6 +61,17 @@ def _as_int(d: dict, key: str, where: str, default=None, minimum=None):
     return v
 
 
+def _finite(v, message: str) -> float:
+    """v as a float; ConfigError(message) if it is not finite (an int too large for a float)."""
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(message)
+    return v
+
+
 def _as_float(d: dict, key: str, where: str, default=None, minimum=None, strict_min=None):
     if key not in d:
         if default is None:
@@ -69,9 +80,7 @@ def _as_float(d: dict, key: str, where: str, default=None, minimum=None, strict_
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number.")
-    v = float(v)
-    if not np.isfinite(v):
-        raise ConfigError(f"{where}.{key} must be finite.")
+    v = _finite(v, f"{where}.{key} must be finite.")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}.")
     if strict_min is not None and v <= strict_min:
@@ -104,9 +113,7 @@ def _as_float_list(v, where: str):
     for x in v:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise ConfigError(f"{where} must contain only numbers.")
-        if not np.isfinite(x):
-            raise ConfigError(f"{where} must contain only finite numbers.")
-        out.append(float(x))
+        out.append(_finite(x, f"{where} must contain only finite numbers."))
     return out
 
 
@@ -214,10 +221,6 @@ def _parse_model(m: dict) -> dict:
         isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in hidden
     ):
         raise ConfigError("model.hidden must be a list of positive integers.")
-    num_layers = len(hidden) + 1
-    rep = _as_int(m, "representation_layers", "model", default=0, minimum=0)
-    if rep > num_layers:
-        raise ConfigError(f"model.representation_layers must be <= {num_layers}.")
     return {
         "family": family,
         "input_dim": _as_int(m, "input_dim", "model", minimum=1),
@@ -225,7 +228,7 @@ def _parse_model(m: dict) -> dict:
         "num_classes": _as_int(m, "num_classes", "model", minimum=2),
         "activation": _as_choice(m, "activation", "model", ("relu", "tanh"), default="relu"),
         "l2": _as_float(m, "l2", "model", default=0.0, minimum=0.0),
-        "representation_layers": rep,
+        "representation_layers": _as_int(m, "representation_layers", "model", default=0, minimum=0),
     }
 
 
@@ -371,7 +374,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         {"algorithm", "clients", "model", "data", "schedule"},
         {"seed", "seeds", "weights", "participation", "metrics", "output"},
     )
-    algorithm = _as_choice(doc, "algorithm", "config", ALGORITHMS)
+    algorithm = doc["algorithm"]
     clients = _as_int(doc, "clients", "config", minimum=1)
 
     if ("seed" in doc) == ("seeds" in doc):
@@ -399,8 +402,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "rounds": _as_int(s, "rounds", "schedule", minimum=1),
         "batch_size": _as_int(s, "batch_size", "schedule", minimum=1),
     }
-    if algorithm in PERIOD_ALGORITHMS and schedule["alpha"] != 1:
-        raise ConfigError(f"schedule.alpha must be 1 for {algorithm}.")
 
     p = doc.get("participation", {"mode": "full"})
     mode = _as_choice(p, "mode", "participation", ("full", "with_replacement", "without_replacement"))
@@ -409,10 +410,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         participation = {"mode": mode}
     else:
         _check_keys(p, "participation", {"mode", "num_sampled"})
-        num_sampled = _as_int(p, "num_sampled", "participation", minimum=1)
-        if mode == "without_replacement" and num_sampled > clients:
-            raise ConfigError("participation.num_sampled cannot exceed clients.")
-        participation = {"mode": mode, "num_sampled": num_sampled}
+        participation = {
+            "mode": mode, "num_sampled": _as_int(p, "num_sampled", "participation", minimum=1)
+        }
 
     m = doc.get("metrics", {})
     _check_keys(m, "metrics", set(), {"cadence", "per_client_risks", "risks_at_sync"})
@@ -440,15 +440,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
             'model.family "logistic_l2" needs -1/+1 labels, which only a file source '
             f'provides; data.source.kind is "{data["source"]["kind"]}".'
         )
-    if algorithm in ("fedals", "fedals_scaffold"):
-        if model["family"] != "mlp":
-            raise ConfigError(f"{algorithm} needs a model with representation and head blocks.")
-        rep = model["representation_layers"]
-        if rep < 1 or rep >= len(model["hidden"]) + 1:
-            raise ConfigError(
-                f"{algorithm} needs 1 <= model.representation_layers <= {len(model['hidden'])}."
-            )
-
     output = doc.get("output", "fedsim_out")
     if not isinstance(output, str) or not output:
         raise ConfigError("config.output must be a non-empty string.")
@@ -465,14 +456,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "metrics": metrics,
         "output": output,
     }
-    model_spec = _model_spec(model)
+    model_spec, schedule_spec = _model_spec(model), ScheduleSpec(**schedule)
+    participation_spec = ParticipationSpec(**participation)
+    try:
+        layout = check_setup(
+            algorithm, model_spec, schedule_spec, clients, participation=participation_spec,
+            representation_layers=model.get("representation_layers", 0),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return ExperimentConfig(
-        canonical,
-        model=model_spec,
-        schedule=ScheduleSpec(**schedule),
-        participation=ParticipationSpec(mode, participation.get("num_sampled")),
-        layout=build_layout(model_spec, model.get("representation_layers", 0)),
-        weights=client_weights(weights, clients).tolist(),
+        canonical, model_spec, schedule_spec, participation_spec, layout,
+        client_weights(weights, clients).tolist(),
     )
 
 
@@ -543,35 +538,19 @@ def build_shards(cfg: ExperimentConfig, seed: int):
     samples, or None when the config provides no population route.
     """
     data_cfg = cfg.canonical["data"]
-    part = data_cfg["partition"]
-    n_per = data_cfg["n_per_client"]
-    clients = cfg.num_clients
+    part, n_per, clients = data_cfg["partition"], data_cfg["n_per_client"], cfg.num_clients
     source = build_generator(cfg, seed)
-
     if isinstance(source, tuple):  # file data
-        X, y = source
-        shards = _partition(X, y, part, clients, seed)
-        return shards, None
+        return _partition(*source, part, clients, seed), None
 
     if part["mode"] == "per_client":
         shards = generate(source, n_per, clients)
     else:
-        X, y = generate_pooled(source, n_per * clients)
-        shards = _partition(X, y, part, clients, seed)
-
-    holdout_n = data_cfg["holdout_per_client"]
+        shards = _partition(*generate_pooled(source, n_per * clients), part, clients, seed)
     if cfg.canonical["model"]["family"] == "ridge" and isinstance(source, GaussianLinear):
-        pop_source = source
-    elif holdout_n > 0:
-        pop_source = stacked_shards(
-            [
-                source.sample(holdout_n, k, streams.substream(seed, streams.EVAL, k))
-                for k in range(clients)
-            ]
-        )
-    else:
-        pop_source = None
-    return shards, pop_source
+        return shards, source
+    holdout_n = data_cfg["holdout_per_client"]
+    return shards, generate(source, holdout_n, clients, streams.EVAL) if holdout_n > 0 else None
 
 
 def _partition(X, y, part: dict, clients: int, seed: int):
@@ -579,9 +558,7 @@ def _partition(X, y, part: dict, clients: int, seed: int):
         return partition_iid(X, y, clients, seed)
     if part["mode"] == "label_sorted":
         return partition_label_sorted(X, y, clients, part["classes_per_client"])
-    if part["mode"] == "dirichlet":
-        return partition_dirichlet(X, y, clients, part["concentration"], seed)
-    raise ConfigError(f"partition mode {part['mode']!r} needs generated data.")
+    return partition_dirichlet(X, y, clients, part["concentration"], seed)
 
 
 def parse_bound_config(doc: dict) -> dict:
@@ -618,10 +595,11 @@ def _parse_identities(ident: dict, clients: int) -> dict:
     _check_keys(ident, "bound config.identities", set(), {"num_sampled", "draws"})
     sampled = ident.get("num_sampled", [clients])
     if not isinstance(sampled, list) or not sampled or not all(
-        isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in sampled
+        isinstance(k, int) and not isinstance(k, bool) and 1 <= k <= MAX_SAMPLED for k in sampled
     ):
         raise ConfigError(
-            "bound config.identities.num_sampled must be a non-empty list of ints >= 1."
+            "bound config.identities.num_sampled must be a non-empty list of ints "
+            f"from 1 to {MAX_SAMPLED}."
         )
     return {
         "num_sampled": list(sampled),

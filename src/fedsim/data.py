@@ -139,19 +139,20 @@ class DatasetShard:
         return self.X.shape[0]
 
 
-def generate(spec: GeneratorSpec, n_per_client: int, num_clients: int) -> Shards:
+def generate(
+    spec: GeneratorSpec, n_per_client: int, num_clients: int, kind: int = streams.DATA
+) -> Shards:
     """Draw an independent shard per client from the generator's law.
 
-    Each client uses its own stream derived from (spec.seed, client id), so
-    shards are reproducible independently of generation order.
+    Each client uses its own stream derived from (spec.seed, kind, client
+    id), so shards are reproducible independently of generation order. kind
+    is rng.DATA for training shards and rng.EVAL for held-out ones.
     """
-    if n_per_client < 1 or num_clients < 1:
-        raise ValueError("need n_per_client >= 1 and num_clients >= 1.")
     if isinstance(spec, GaussianLinear) and spec.client_coefs.shape[0] not in (1, num_clients):
         raise ValueError("client_coefs must have 1 row or one row per client.")
     return stacked_shards(
         [
-            spec.sample(n_per_client, k, streams.substream(spec.seed, streams.DATA, k))
+            spec.sample(n_per_client, k, streams.substream(spec.seed, kind, k))
             for k in range(num_clients)
         ]
     )
@@ -166,17 +167,10 @@ def generate_pooled(spec: GeneratorSpec, n: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _contiguous_split(order: np.ndarray, num_clients: int) -> list[np.ndarray]:
-    n = order.shape[0]
-    if num_clients < 1 or num_clients > n:
+    """num_clients consecutive runs of order whose sizes differ by at most one, longest first."""
+    if num_clients < 1 or num_clients > order.shape[0]:
         raise ValueError("need 1 <= num_clients <= number of samples.")
-    base, extra = divmod(n, num_clients)
-    parts = []
-    start = 0
-    for k in range(num_clients):
-        size = base + (1 if k < extra else 0)
-        parts.append(order[start : start + size])
-        start += size
-    return parts
+    return np.array_split(order, num_clients)
 
 
 class Shards(tuple):

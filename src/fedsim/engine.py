@@ -54,6 +54,7 @@ CONTROL_ALGORITHMS = ("scaffold", "fedals_scaffold")
 PERIOD_ALGORITHMS = ("fedavg", "scaffold")  # alpha pinned to 1
 
 DIVERGENCE_LIMIT = 1e12
+MAX_SAMPLED = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize  # numpy's largest draw
 
 
 class DivergenceError(RuntimeError):
@@ -158,8 +159,6 @@ def sample_participants(
     if spec.mode == "with_replacement":
         idx = np.sort(gen.choice(num_clients, size=khat, replace=True, p=w))
         return idx, np.full(khat, 1.0 / khat)
-    if khat > num_clients:
-        raise ValueError("without_replacement cannot sample more clients than exist.")
     idx = np.sort(gen.choice(num_clients, size=khat, replace=False))
     return idx, w[idx] * (num_clients / khat)
 
@@ -328,12 +327,15 @@ def _uniform_average(theta: np.ndarray, layout: BlockLayout) -> ParamVector:
 def _sync_risks(model: ModelSpec, avg: ParamVector, pools, weights, per_client_risks: bool):
     """(train, test, gap, per-client risks) of a sync's averaged model on one run's pools."""
     train_pool, test_pool = pools
-    train = empirical_risk(model, avg, train_pool, weights)
+    if per_client_risks:  # each shard once, combined as empirical_risk combines them
+        pcr = shard_risks(model, avg, train_pool)
+        train = float(weighted_average(pcr, weights))
+    else:
+        pcr, train = None, empirical_risk(model, avg, train_pool, weights)
     test = gap = None
     if test_pool is not None:
         test = population_risk_estimate(model, avg, test_pool, weights)
         gap = test - train
-    pcr = shard_risks(model, avg, train_pool) if per_client_risks else None
     return train, test, gap, pcr
 
 
@@ -525,6 +527,43 @@ class RunSpec:
     on_record: Callable[[int, int, MetricsRecord], None] | None = None
 
 
+def check_setup(
+    algorithm: str, model: ModelSpec, schedule: ScheduleSpec, num_clients: int, *,
+    representation_layers: int = 0, participation: ParticipationSpec = FULL_PARTICIPATION,
+    pin_control: bool = False,
+) -> BlockLayout:
+    """Check the set-up rules that need no data; return the run's block layout.
+
+    run_experiments runs this before it touches a shard, and
+    config.parse_config on every config, so no valid config breaks them.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {list(ALGORITHMS)}.")
+    if algorithm in PERIOD_ALGORITHMS and schedule.alpha != 1:
+        raise ValueError(f"schedule.alpha must be 1 for {algorithm}.")
+    layout = build_layout(model, representation_layers)
+    empty = [role.value for role in Role if layout.role_size(role) == 0]
+    if algorithm not in PERIOD_ALGORITHMS and empty:  # FedALS: one period per role
+        raise ValueError(
+            f"{algorithm} needs a model with representation and head blocks; "
+            f"representation_layers = {representation_layers} leaves no {empty[0]} block."
+        )
+    khat = participation.num_sampled
+    if khat is not None and khat > MAX_SAMPLED:
+        raise ValueError(f"participation.num_sampled must be <= {MAX_SAMPLED}.")
+    if participation.mode == "without_replacement" and khat > num_clients:
+        raise ValueError("participation.num_sampled cannot exceed clients without replacement.")
+    if algorithm in CONTROL_ALGORITHMS and not pin_control:
+        # scaffold_control_update's scale is largest at the shortest period that syncs blocks
+        period = min(schedule.period(role) for role in Role if layout.role_size(role) > 0)
+        if not np.isfinite(1.0 / (schedule.eta * period)):
+            raise ValueError(
+                f"eta = {schedule.eta!r} is too small for the control update: "
+                f"1/(eta * {period}) overflows."
+            )
+    return layout
+
+
 def run_experiment(
     algorithm: str,
     model: ModelSpec,
@@ -581,10 +620,6 @@ def run_experiments(
     and on a failure the error raised and the records emitted before it are
     those of the inline path.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}.")
-    if algorithm in PERIOD_ALGORITHMS and schedule.alpha != 1:
-        raise ValueError(f"{algorithm} has a single period; set alpha = 1.")
     if not runs:
         raise ValueError("need at least one run.")
     num_clients = len(runs[0].shards)
@@ -592,16 +627,11 @@ def run_experiments(
         raise ValueError("need at least one client shard.")
     if any(len(run.shards) != num_clients for run in runs):
         raise ValueError("every run of a stack needs the same number of clients.")
-
-    layout = build_layout(model, representation_layers)
-    if algorithm in ("fedals", "fedals_scaffold"):
-        if layout.role_size(Role.REPRESENTATION) == 0 or layout.role_size(Role.HEAD) == 0:
-            raise ValueError(f"{algorithm} needs both representation and head blocks.")
-
+    layout = check_setup(
+        algorithm, model, schedule, num_clients, representation_layers=representation_layers,
+        participation=participation, pin_control=pin_control,
+    )
     w = client_weights(weights, num_clients)
-    if participation.mode == "without_replacement" and participation.num_sampled > num_clients:
-        raise ValueError("without_replacement cannot sample more clients than exist.")
-
     if not batches_with_replacement:
         for run in runs:
             smallest = min(s.n for s in run.shards)
@@ -611,15 +641,6 @@ def run_experiments(
                     f"shard ({smallest}): config violates the without-replacement sampling model."
                 )
     live_control = algorithm in CONTROL_ALGORITHMS and not pin_control
-    if live_control:
-        for role in (Role.HEAD, Role.REPRESENTATION):
-            period = schedule.period(role)
-            # scaffold_control_update's scale
-            if layout.role_size(role) > 0 and not np.isfinite(1.0 / (schedule.eta * period)):
-                raise ValueError(
-                    f"eta = {schedule.eta!r} is too small for the control update: "
-                    f"1/(eta * {period}) overflows."
-                )
     # each run's training shards laid end to end once, for the label check and the risks
     trains = [pooled(run.shards) for run in runs]
     for train in trains:

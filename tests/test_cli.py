@@ -427,8 +427,9 @@ def test_sweep_divergence_names_the_grid_point(tmp_path, capsys, monkeypatch, wo
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_set_up_error_at_one_grid_point_names_the_point(tmp_path, capsys, monkeypatch, workers):
-    # eta = 5e-324 passes validation, but the engine's set-up check rejects
-    # its control scale; the message names the point and the seed that met it
+    # validation runs the engine's set-up check on every point, and it rejects
+    # the control scale of eta = 5e-324 whatever the seed: the message names
+    # the point alone
     golden = os.path.join(os.path.dirname(__file__), "golden", "configs")
     with open(os.path.join(golden, "scaffold_ridge_perclient_withrep.json"), "rb") as fh:
         doc = json.load(fh)
@@ -439,9 +440,48 @@ def test_a_set_up_error_at_one_grid_point_names_the_point(tmp_path, capsys, monk
     grid = "eta=0.05,5e-324"
     assert main(["sweep", _write(tmp_path, doc), "--grid", grid, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "config error: alpha=1 tau=4 eta=5e-324 seed=1: eta = 5e-324 is too small for the "
+        "config error: alpha=1 tau=4 eta=5e-324: eta = 5e-324 is too small for the "
         "control update: 1/(eta * 4) overflows.\n"
     )
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("eta=0.05,5e-324", "alpha=1 tau=4 eta=5e-324: eta = 5e-324 is too small for the "
+         "control update: 1/(eta * 4) overflows."),
+        ("alpha=1,2", "alpha=2 tau=4 eta=0.04: schedule.alpha must be 1 for scaffold."),
+    ],
+)
+def test_no_grid_point_trains_until_every_point_passes_set_up(
+    tmp_path, capsys, monkeypatch, workers, grid, message
+):
+    from fedsim import cli
+
+    golden = os.path.join(os.path.dirname(__file__), "golden", "configs")
+    with open(os.path.join(golden, "scaffold_ridge_perclient_withrep.json"), "rb") as fh:
+        doc = json.load(fh)
+    del doc["seed"]
+    doc["seeds"] = [1, 2]
+    calls = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("run_experiment", "run_experiments", "build_shards"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    monkeypatch.setenv("FEDSIM_WORKERS", workers)
+    out = tmp_path / "o"
+    # the bad point comes last: the good one before it must not train either
+    assert main(["sweep", _write(tmp_path, doc), "--grid", grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == []
     assert not (out / "sweep.csv").exists()
 
 

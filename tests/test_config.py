@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
@@ -217,6 +218,52 @@ def test_participation_validation():
     cfg = parse_config(_doc(participation={"mode": "with_replacement", "num_sampled": 2}))
     spec = cfg.participation
     assert spec.mode == "with_replacement" and spec.num_sampled == 2
+
+
+HUGE = 10**400  # an integer JSON reads exactly and a float cannot hold
+
+
+def _golden_bound_doc(**overrides) -> dict:
+    path = os.path.join(os.path.dirname(__file__), "golden", "configs", "bound_perclient_identities.json")
+    with open(path, encoding="utf-8") as fh:
+        return dict(json.load(fh), **overrides)
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("schedule", "eta"), r"^schedule\.eta must be finite\.$"),
+        (("model", "l2"), r"^model\.l2 must be finite\.$"),
+        (("data", "source", "noise_std"), r"^data\.source\.noise_std must be finite\.$"),
+        (("data", "source", "coef"), r"^data\.source\.coef must contain only finite numbers\.$"),
+    ],
+)
+def test_an_integer_too_large_for_a_float_is_not_finite(path, message):
+    doc = _doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = [1.0, -HUGE] if path[-1] == "coef" else HUGE
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc)
+    assert parse_config(_doc()).schedule.eta == 0.05
+
+
+@pytest.mark.parametrize("key", ["l2", "noise_std"])
+def test_a_bound_config_integer_too_large_for_a_float_is_not_finite(key):
+    doc = _golden_bound_doc(**{key: HUGE})
+    with pytest.raises(ConfigError, match=rf"^bound config\.{key} must be finite\.$"):
+        parse_bound_config(doc)
+
+
+@pytest.mark.parametrize("num_sampled", [2**62, 2**70])
+def test_a_num_sampled_numpy_cannot_size_is_rejected(num_sampled):
+    doc = _doc(participation={"mode": "with_replacement", "num_sampled": num_sampled})
+    with pytest.raises(ConfigError, match=r"participation\.num_sampled must be <= \d+"):
+        parse_config(doc)
+    doc = _golden_bound_doc(identities={"num_sampled": [3, num_sampled]})
+    with pytest.raises(ConfigError, match=r"identities\.num_sampled must be .* from 1 to \d+"):
+        parse_bound_config(doc)
 
 
 def test_type_strictness():

@@ -7,12 +7,14 @@ from fedsim import rng as streams
 from fedsim.data import GaussianClusters, GaussianLinear, draw_round_batches, generate
 from fedsim.engine import (
     FULL_PARTICIPATION,
+    MAX_SAMPLED,
     ClientState,
     CommCounter,
     DivergenceError,
     ParticipationSpec,
     ScheduleSpec,
     aggregate,
+    check_setup,
     comm_closed_form,
     local_sgd_step,
     run_experiment,
@@ -425,6 +427,37 @@ def test_engine_validation_errors():
             "fedavg", model, shards, ScheduleSpec(tau=2, eta=0.05, rounds=2, batch_size=5),
             seed=0, weights=[0.5, 0.2, 0.2],
         )
+
+
+def test_run_experiments_raises_each_set_up_rule_before_training():
+    ridge, ridge_shards = _ridge_task()
+    mlp, mlp_shards = _mlp_task()
+    sched = ScheduleSpec(tau=2, eta=0.05, rounds=2, batch_size=5)
+    tiny = ScheduleSpec(tau=2, eta=5e-324, rounds=2, batch_size=5)
+    cases = [
+        ("sgd", ridge, ridge_shards, sched, {}, "unknown algorithm 'sgd'"),
+        ("scaffold", ridge, ridge_shards, ScheduleSpec(2, 0.05, 2, 5, alpha=3), {},
+         "schedule.alpha must be 1 for scaffold"),
+        ("fedals_scaffold", ridge, ridge_shards, sched, {}, "representation and head"),
+        ("fedals", mlp, mlp_shards, sched, {"representation_layers": 3}, "no head block"),
+        ("fedals", mlp, mlp_shards, sched, {"representation_layers": 0}, "no representation"),
+        ("fedavg", ridge, ridge_shards, sched,
+         {"participation": ParticipationSpec("without_replacement", 4)}, "cannot exceed clients"),
+        ("fedavg", ridge, ridge_shards, sched,
+         {"participation": ParticipationSpec("with_replacement", MAX_SAMPLED + 1)},
+         f"num_sampled must be <= {MAX_SAMPLED}"),
+        ("scaffold", ridge, ridge_shards, tiny, {}, r"1/\(eta \* 2\) overflows"),
+        ("fedals_scaffold", mlp, mlp_shards, ScheduleSpec(2, 5e-324, 2, 5, alpha=2),
+         {"representation_layers": 1}, r"1/\(eta \* 2\) overflows"),
+    ]
+    for algorithm, model, shards, schedule, options, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_experiment(algorithm, model, shards, schedule, seed=0, **options)
+    # 2**62 draws fit an int64 but not an index array numpy can size
+    assert MAX_SAMPLED < 2**62
+    # a pinned control is never scaled, so its step size may be that small
+    layout = check_setup("scaffold", ridge, tiny, 3, pin_control=True)
+    assert layout == build_layout(ridge)
 
 
 def test_divergence_error_names_round_step_client():

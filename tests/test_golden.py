@@ -6,13 +6,18 @@ also through a two-worker pool, and the run cases also in a child process
 pinned to one CPU, where run computes its sync risks inline rather than in a
 forked helper. Floating-point bits depend on the numpy build and the BLAS
 kernels, so the comparison runs only in the environment recorded in
-tests/golden/ENVIRONMENT.json and is skipped elsewhere. To record new golden
-outputs after an intended output change, run from the repository root:
+tests/golden/ENVIRONMENT.json and is skipped elsewhere. They depend on the
+CPU too, through the kernel OpenBLAS picks and numpy's CPU dispatch targets;
+ENVIRONMENT.json records both under "cpu", which gates nothing, and a failed
+comparison names them next to those of the running process. To record new
+golden outputs after an intended output change, run from the repository root:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
 import contextlib
+import ctypes
+import glob
 import io
 import json
 import os
@@ -61,6 +66,24 @@ def environment() -> dict:
     }
 
 
+def cpu_profile() -> dict:
+    """The OpenBLAS kernel and numpy's enabled CPU dispatch targets in this process.
+
+    The kernel is read from numpy's bundled OpenBLAS, as CI's "Runner CPU and
+    BLAS kernel" step reads it; it is None where that library is not found.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
+        corename = lib.scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        kernel = corename().decode()
+    except (IndexError, OSError, AttributeError):  # no bundled OpenBLAS, or not this build of it
+        kernel = None
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return {"openblas_kernel": kernel, "simd_found": list(simd)}
+
+
 def run_case(name: str, out_dir: str) -> None:
     """Run one case with the configs directory as working directory.
 
@@ -85,7 +108,7 @@ def _recorded_environment() -> dict:
 
 
 def _require_recorded_environment() -> None:
-    recorded = _recorded_environment()
+    recorded = {k: v for k, v in _recorded_environment().items() if k != "cpu"}
     if environment() != recorded:
         pytest.skip(f"golden outputs were recorded with {recorded}, this is {environment()}")
 
@@ -95,7 +118,10 @@ def _assert_golden(name: str, out_dir) -> None:
         got = (out_dir / fname).read_bytes()
         with open(os.path.join(EXPECTED, name, fname), "rb") as fh:
             want = fh.read()
-        assert got == want, f"{name}/{fname} differs from its golden copy"
+        assert got == want, (
+            f"{name}/{fname} differs from its golden copy, recorded on CPU profile "
+            f"{_recorded_environment().get('cpu')}; this process runs on {cpu_profile()}"
+        )
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -143,7 +169,8 @@ def regenerate() -> None:
     for name in sorted(CASES):
         run_case(name, os.path.join(EXPECTED, name))
     with open(ENVIRONMENT, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
+        recorded = dict(environment(), cpu=cpu_profile())
+        fh.write(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
