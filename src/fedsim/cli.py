@@ -185,14 +185,14 @@ def parse_grid(spec: str) -> list[tuple[str, list]]:
     return axes
 
 
-def _seeds_in_lockstep(cfg) -> list[dict]:
-    """The final metrics of each seed, from one stack of all the seeds' runs."""
-    data = [build_shards(cfg, seed) for seed in cfg.seeds]
+def _seed_stack(cfg, seeds) -> list[dict]:
+    """The final metrics of each seed, from one stack of the seeds' runs."""
+    data = [build_shards(cfg, seed) for seed in seeds]
     results = run_experiments(
         cfg.algorithm,
         cfg.model,
         cfg.schedule,
-        [RunSpec(shards, seed, pop_source) for seed, (shards, pop_source) in zip(cfg.seeds, data)],
+        [RunSpec(shards, seed, pop_source) for seed, (shards, pop_source) in zip(seeds, data)],
         **cfg.run_options(cadence=0),
     )
     return [
@@ -206,37 +206,32 @@ def _point_label(schedule: dict) -> str:
     return "alpha={alpha} tau={tau} eta={eta!r}".format_map(schedule)
 
 
-def _seed_alone(cfg, seed) -> dict:
-    """The final metrics of one seed; a training error names the grid point and seed."""
-    shards, pop_source = build_shards(cfg, seed)
-    point = f"{_point_label(vars(cfg.schedule))} seed={seed}"
-    try:
-        result = run_experiment(
-            cfg.algorithm, cfg.model, shards, cfg.schedule, seed=seed, pop_source=pop_source,
-            **cfg.run_options(cadence=0),
-        )
-    except DivergenceError as exc:
-        raise DivergenceError(f"{point}: {exc}", exc.client) from exc
-    except ValueError as exc:  # a set-up check on the data: shard size or labels; still exit 1
-        raise ValueError(f"{point}: {exc}") from exc
-    return _final_metrics(cfg, shards, pop_source, result)
-
-
 def _sweep_point(cfg) -> list[dict]:
     """The final metrics of each seed of a grid point; module-level so workers can pickle it.
 
-    The seeds step together in one stack. If the stack raises anything, the
-    seeds run again one at a time, each building its shards and then
-    training, so a failing point exits as the first failing seed alone does.
+    The seeds step together in one stack. A one-seed point, or one whose
+    stack raised anything, runs each seed as a one-seed stack instead, so a
+    failing point exits as its first failing seed alone does, with the point
+    and seed in the message.
     """
     if len(cfg.seeds) > 1:
         try:
-            return _seeds_in_lockstep(cfg)
+            return _seed_stack(cfg, cfg.seeds)
         except Exception:
-            # the lone runs below raise the error to report, or recover from
-            # one that only the stack met, such as a larger allocation failing
+            # the one-seed stacks below raise the error to report, or recover
+            # from one that only the whole stack met, such as a larger
+            # allocation failing
             pass
-    return [_seed_alone(cfg, seed) for seed in cfg.seeds]
+    finals = []
+    for seed in cfg.seeds:
+        point = f"{_point_label(vars(cfg.schedule))} seed={seed}"
+        try:
+            finals += _seed_stack(cfg, [seed])
+        except DivergenceError as exc:
+            raise DivergenceError(f"{point}: {exc}", exc.client) from exc
+        except ValueError as exc:  # a set-up check on the data: shard size or labels; still exit 1
+            raise ValueError(f"{point}: {exc}") from exc
+    return finals
 
 
 def _mean_std(values) -> tuple[float | None, float | None]:
@@ -321,7 +316,7 @@ def _cell(v) -> str:
 def cmd_verify_bound(args) -> int:
     canonical = load_bound_config(args.config)
     if args.seed is not None:
-        canonical["seed"] = args.seed
+        canonical = dict(canonical, seed=args.seed)
     trial_cfg = build_bound_trial_config(canonical)
     out_dir = args.out if args.out is not None else "fedsim_out"
     os.makedirs(out_dir, exist_ok=True)

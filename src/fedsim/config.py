@@ -48,7 +48,7 @@ def _check_keys(d: dict, where: str, required: set[str], optional: set[str] = fr
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}.")
 
 
-def _as_int(d: dict, key: str, where: str, default=None, minimum=None):
+def _as_int(d: dict, key: str, where: str, default=None, minimum=None, maximum=None):
     if key not in d:
         if default is None:
             raise ConfigError(f"{where}: missing {key}.")
@@ -58,6 +58,8 @@ def _as_int(d: dict, key: str, where: str, default=None, minimum=None):
         raise ConfigError(f"{where}.{key} must be an integer.")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}.")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{where}.{key} must be <= {maximum}.")
     return v
 
 
@@ -375,7 +377,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         {"seed", "seeds", "weights", "participation", "metrics", "output"},
     )
     algorithm = doc["algorithm"]
-    clients = _as_int(doc, "clients", "config", minimum=1)
+    clients = _as_int(doc, "clients", "config", minimum=1, maximum=MAX_SAMPLED)
 
     if ("seed" in doc) == ("seeds" in doc):
         raise ConfigError("config: give exactly one of seed or seeds.")
@@ -569,7 +571,7 @@ def parse_bound_config(doc: dict) -> dict:
         {"clients", "n_per_client", "dim", "l2", "trials", "seed"},
         LINEAR_LAW_KEYS | {"weights", "identities"},
     )
-    clients = _as_int(doc, "clients", "bound config", minimum=1)
+    clients = _as_int(doc, "clients", "bound config", minimum=1, maximum=MAX_SAMPLED)
     dim = _as_int(doc, "dim", "bound config", minimum=1)
     out = {
         "clients": clients,

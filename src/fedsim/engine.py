@@ -165,17 +165,10 @@ def sample_participants(
 
 @dataclass
 class ClientState:
-    """One client's mutable training state.
-
-    control is present exactly for the control-variate algorithms; snapshot
-    holds, per block, the parameter values broadcast at that block's most
-    recent sync (the reference point of the next control update).
-    """
+    """One client's parameters, for the one-row local_sgd_step."""
 
     client: int
     params: ParamVector
-    control: ParamVector | None = None
-    snapshot: ParamVector | None = None
 
 
 @dataclass
@@ -263,25 +256,28 @@ def local_sgd_step(
 
 
 def scaffold_control_update(
-    client: ClientState,
+    control: np.ndarray,
+    snapshot: np.ndarray,
+    params: np.ndarray,
+    client: int,
     c_bar: np.ndarray,
     eta: float,
     period: int,
     slices: Sequence[slice],
 ) -> None:
-    """Refresh a client's control variate on the given blocks.
+    """Refresh one client's control variate row in place, on the given blocks.
 
-    c_k <- c_k - c_bar + (theta_snapshot - theta_now) / (eta * period), where
-    the snapshot is the value broadcast at this role's previous sync. c_bar
-    must be the average of the pre-update variates (simultaneous update).
+    c_k <- c_k - c_bar + (snapshot - params) / (eta * period), where the
+    snapshot row holds the values broadcast at this role's previous sync and
+    params the client's current row. c_bar must be the average of the
+    pre-update variates (simultaneous update). client names the client in
+    the divergence message.
     """
     scale = 1.0 / (eta * period)
     for sl in slices:
-        client.control.values[sl] += (
-            -c_bar[sl] + (client.snapshot.values[sl] - client.params.values[sl]) * scale
-        )
-    if not np.all(np.isfinite(client.control.values)):
-        raise DivergenceError(f"client {client.client} control variate went non-finite.")
+        control[sl] += -c_bar[sl] + (snapshot[sl] - params[sl]) * scale
+    if not np.all(np.isfinite(control)):
+        raise DivergenceError(f"client {client} control variate went non-finite.")
 
 
 def aggregate(
@@ -658,17 +654,6 @@ def run_experiments(
         # is one row per run
         snapshot = np.stack([v.values for v in inits])
         c_bar = np.zeros((num_runs, p))
-        # one-row views for scaffold_control_update; they write through to the
-        # matrices, and the clients of run g share snapshot row g
-        clients = [
-            ClientState(
-                i % num_clients,
-                ParamVector(theta[i], layout),
-                ParamVector(control[i], layout),
-                ParamVector(snapshot[i // num_clients], layout),
-            )
-            for i in range(theta.shape[0])
-        ]
 
     comms = [CommCounter.zeros(num_clients) for _ in runs]
     records: list[list[MetricsRecord]] = [[] for _ in runs]
@@ -739,8 +724,10 @@ def run_experiments(
                             if live_control:
                                 period = schedule.period(role)
                                 old_bar = c_bar[g].copy()
-                                for c in clients[rows]:
-                                    scaffold_control_update(c, old_bar, eta, period, slices)
+                                for k, row in enumerate(control[rows]):
+                                    scaffold_control_update(
+                                        row, snapshot[g], th[k], k, old_bar, eta, period, slices
+                                    )
                                 for sl in slices:
                                     # a contiguous copy reduces exactly as a stack of the rows
                                     block = np.ascontiguousarray(control[rows, sl])

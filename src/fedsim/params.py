@@ -93,8 +93,8 @@ class ParamVector:
 
     Entries must be finite; construction and every public operation enforce
     that, so a NaN or Inf surfaces as a hard error where it first appears.
-    Treat instances as immutable unless you own them (the engine mutates the
-    vectors of the client states it owns; everything else takes copies).
+    Treat instances as immutable unless you own them (local_sgd_step
+    updates one client's vector in place; everything else takes copies).
     """
 
     values: np.ndarray

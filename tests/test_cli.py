@@ -530,18 +530,38 @@ def test_multi_seed_points_run_as_one_stack_and_fall_back_on_any_error(tmp_path,
     monkeypatch.setattr(cli, "run_experiments", counted)
     assert main(["sweep", cfg, "--grid", "eta=0.05,0.1", "--out", str(tmp_path / "s")]) == 0
     assert sizes == [2, 2]
-    # a seed= axis gives one-seed points, which run alone
+    # a seed= axis gives one-seed points, which run as one-seed stacks
     assert main(["sweep", cfg, "--grid", "seed=4,5", "--out", str(tmp_path / "t")]) == 0
-    assert sizes == [2, 2]
+    assert sizes == [2, 2, 1, 1]
 
     def broken(*args, **kwargs):
-        raise RuntimeError("stack failed")
+        if len(args[3]) > 1:
+            raise RuntimeError("stack failed")
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_experiments", broken)
     assert main(["sweep", cfg, "--grid", "eta=0.05,0.1", "--out", str(tmp_path / "f")]) == 0
     stacked = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
     alone = (tmp_path / "f" / "sweep.csv").read_text().splitlines()
     assert alone == stacked and len(alone) == 4
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_data_set_up_error_names_the_point_and_seed(tmp_path, capsys, monkeypatch, workers):
+    # coef_scale 1e308 passes validation, but the labels it draws overflow
+    golden = os.path.join(os.path.dirname(__file__), "golden", "configs")
+    with open(os.path.join(golden, "fedavg_ridge_iid.json"), "rb") as fh:
+        doc = json.load(fh)
+    del doc["seed"]
+    doc["seeds"] = [1, 2]
+    doc["data"]["source"]["coef_scale"] = 1e308
+    monkeypatch.setenv("FEDSIM_WORKERS", workers)
+    out = tmp_path / "o"
+    assert main(["sweep", _write(tmp_path, doc), "--grid", "eta=0.05,0.1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: alpha=1 tau=3 eta=0.05 seed=1: shard labels contain non-finite entries.\n"
+    )
+    assert not (out / "sweep.csv").exists()
 
 
 class _RecordingPool:
@@ -690,6 +710,29 @@ def test_verify_bound_seed_override_changes_digest(tmp_path):
     db = json.loads((b / "bound_report.json").read_text())
     assert da["provenance"]["config_digest"] != db["provenance"]["config_digest"]
     assert da["report"]["lhs"] != db["report"]["lhs"]
+
+
+def test_verify_bound_seed_override_leaves_the_loaded_config_as_parsed(tmp_path, monkeypatch):
+    from fedsim import cli
+
+    loaded = []
+    real = cli.load_bound_config
+
+    def recorded(path):
+        canonical = real(path)
+        loaded.append((canonical, copy.deepcopy(canonical)))
+        return canonical
+
+    monkeypatch.setattr(cli, "load_bound_config", recorded)
+    over, direct = tmp_path / "over", tmp_path / "direct"
+    cfg = _write(tmp_path, _bound_doc())
+    assert main(["verify-bound", cfg, "--seed", "12", "--out", str(over)]) == 0
+    [(canonical, parsed)] = loaded
+    assert canonical == parsed and canonical["seed"] == 11
+    # the override reports as a config that names the seed itself
+    cfg = _write(tmp_path, _bound_doc(seed=12), "s12.json")
+    assert main(["verify-bound", cfg, "--out", str(direct)]) == 0
+    assert (over / "bound_report.json").read_bytes() == (direct / "bound_report.json").read_bytes()
 
 
 def test_consensus_trace_single_client_all_zero(tmp_path):

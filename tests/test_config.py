@@ -266,6 +266,16 @@ def test_a_num_sampled_numpy_cannot_size_is_rejected(num_sampled):
         parse_bound_config(doc)
 
 
+@pytest.mark.parametrize("clients", [2**62, HUGE], ids=["2**62", "10**400"])
+def test_a_clients_count_numpy_cannot_size_is_rejected(clients):
+    with pytest.raises(ConfigError, match=r"^config\.clients must be <= \d+\.$"):
+        parse_config(_doc(clients=clients))
+    doc = _golden_bound_doc(clients=clients)
+    del doc["weights"]
+    with pytest.raises(ConfigError, match=r"^bound config\.clients must be <= \d+\.$"):
+        parse_bound_config(doc)
+
+
 def test_type_strictness():
     doc = _doc()
     doc["schedule"]["tau"] = True  # bools are not integers here

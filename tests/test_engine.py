@@ -164,10 +164,9 @@ def test_aggregate_sampled_participants_weighted_sum():
 def test_scaffold_control_update_telescopes_to_mean_gradient():
     model, shards = _ridge_task(num_clients=1)
     lay = build_layout(model)
-    theta0 = ParamVector(np.full(lay.total_params, 0.3), lay)
-    c = ClientState(
-        0, theta0.copy(), control=ParamVector(np.zeros(lay.total_params), lay), snapshot=theta0.copy()
-    )
+    snapshot = np.full(lay.total_params, 0.3)
+    c = ClientState(0, ParamVector(snapshot.copy(), lay))
+    control = np.zeros(lay.total_params)
     eta, tau = 0.05, 4
     grads = []
     for t in range(tau):
@@ -175,41 +174,41 @@ def test_scaffold_control_update_telescopes_to_mean_gradient():
         y = shards[0].y[t * 5 : (t + 1) * 5]
         grads.append(loss_and_grad(model, c.params, X, y).grad.values.copy())
         local_sgd_step(model, c, X, y, eta=eta)
-    scaffold_control_update(c, np.zeros(lay.total_params), eta, tau, lay.role_slices(None))
+    scaffold_control_update(
+        control, snapshot, c.params.values, 0, np.zeros(lay.total_params), eta, tau,
+        lay.role_slices(None),
+    )
     want = np.mean(np.stack(grads), axis=0)
-    assert np.allclose(c.control.values, want, rtol=1e-12, atol=1e-14)
+    assert np.allclose(control, want, rtol=1e-12, atol=1e-14)
 
 
 def test_scaffold_control_update_no_drift_resets_to_zero():
     lay = layout_from_sizes([("h", 2, Role.HEAD)])
-    theta = ParamVector(np.array([1.0, -1.0]), lay)
+    theta = np.array([1.0, -1.0])
     c_val = np.array([0.4, -0.2])
-    c = ClientState(0, theta.copy(), control=ParamVector(c_val.copy(), lay), snapshot=theta.copy())
-    scaffold_control_update(c, c_val, 0.1, 3, lay.role_slices(None))
-    assert np.array_equal(c.control.values, [0.0, 0.0])
+    control = c_val.copy()
+    scaffold_control_update(control, theta.copy(), theta, 0, c_val, 0.1, 3, lay.role_slices(None))
+    assert np.array_equal(control, [0.0, 0.0])
+    with pytest.raises(DivergenceError, match=r"^client 3 control variate went non-finite\.$"):
+        scaffold_control_update(
+            control, theta, theta, 3, np.array([np.inf, 0.0]), 0.1, 3, lay.role_slices(None)
+        )
 
 
 def test_scaffold_control_sum_identity():
-    # sum_k c_new = sum_k (snapshot - theta)/(eta*period) when c_bar is the exact mean
+    # sum_k c_new = sum_k (snapshot - theta)/(eta*period) when c_bar is the exact mean;
+    # the rows of the (K, P) matrices are updated in place
     rng = np.random.default_rng(1)
     lay = layout_from_sizes([("phi", 3, Role.REPRESENTATION), ("h", 2, Role.HEAD)])
-    clients = []
-    for k in range(4):
-        clients.append(
-            ClientState(
-                k,
-                ParamVector(rng.standard_normal(5), lay),
-                control=ParamVector(rng.standard_normal(5), lay),
-                snapshot=ParamVector(rng.standard_normal(5), lay),
-            )
-        )
-    c_bar = np.mean(np.stack([c.control.values for c in clients]), axis=0)
+    theta, control, snapshot = (rng.standard_normal((4, 5)) for _ in range(3))
+    c_bar = np.mean(control, axis=0)
     eta, period = 0.2, 6
-    drift = sum((c.snapshot.values - c.params.values) / (eta * period) for c in clients)
-    for c in clients:
-        scaffold_control_update(c, c_bar, eta, period, lay.role_slices(None))
-    got = sum(c.control.values for c in clients)
-    assert np.allclose(got, drift, rtol=1e-10, atol=1e-12)
+    drift = np.sum((snapshot - theta) / (eta * period), axis=0)
+    for k in range(4):
+        scaffold_control_update(
+            control[k], snapshot[k], theta[k], k, c_bar, eta, period, lay.role_slices(None)
+        )
+    assert np.allclose(control.sum(axis=0), drift, rtol=1e-10, atol=1e-12)
 
 
 def test_sample_participants_full():

@@ -2,9 +2,12 @@
 
 Every command runs on numpy alone: none imports scipy, and each still works
 when scipy cannot be imported at all. The label partitions do not load
-numpy.ma, and a run imports nothing once the engine has started.
+numpy.ma, and a run imports nothing once the engine has started. Every
+fedsim name the benchmark in perfbench/ wraps still exists.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -16,6 +19,7 @@ import fedsim
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fedsim.__file__)))
 GOLDEN_CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "configs")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 # Runs the CLI with the engine entry point wrapped, then prints one JSON line:
 # whether scipy and numpy.ma were loaded at the end, and the modules imported
@@ -98,3 +102,35 @@ def test_per_client_run_imports_nothing_once_the_engine_starts(tmp_path):
     # with-replacement sampling, so a sync sees a client sampled twice
     seen = _probe(tmp_path, "run", "fedavg_mlp_batch1_perclient.json")
     assert seen["new_in_run"] == []
+
+
+def _literal_tables(path, *names) -> dict:
+    """The literal values assigned to names at the top level of a source file, read, not run."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in names
+    }
+
+
+def test_every_name_the_benchmark_wraps_still_resolves():
+    # the tracer looks up each traced name with getattr and the launcher
+    # wraps these cli names, so deleting or renaming one breaks the benchmark
+    tracer = os.path.join(PERFBENCH, "tracer.py")
+    tables = _literal_tables(tracer, "MODULES", "TRACED", "SPAN_ONLY")
+    assert set(tables) == {"MODULES", "TRACED", "SPAN_ONLY"}
+    modules = {m: importlib.import_module(f"fedsim.{m}") for m in tables["MODULES"]}
+    launched = {"cli": ("main", "run_experiment", "verify_theorem1", "ProcessPoolExecutor")}
+    missing = [
+        f"{home}.{name}"
+        for table in (tables["TRACED"], tables["SPAN_ONLY"], launched)
+        for home, names in table.items()
+        for name in names
+        if not callable(getattr(modules[home], name, None))
+    ]
+    assert missing == []
