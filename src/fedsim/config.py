@@ -21,6 +21,8 @@ from .bounds import MIN_TRIALS, BoundTrialConfig
 from .data import (
     GaussianClusters,
     GaussianLinear,
+    GeneratorSpec,
+    _psd_sqrt,
     generate,
     generate_pooled,
     load_delimited,
@@ -29,7 +31,7 @@ from .data import (
     partition_label_sorted,
 )
 from .engine import MAX_SAMPLED, ParticipationSpec, ScheduleSpec, check_setup
-from .models import LogisticL2Spec, MlpSpec, ModelSpec, RidgeSpec
+from .models import ACTIVATIONS, LogisticL2Spec, MlpSpec, ModelSpec, RidgeSpec
 from .params import BlockLayout, client_weights
 
 
@@ -228,7 +230,7 @@ def _parse_model(m: dict) -> dict:
         "input_dim": _as_int(m, "input_dim", "model", minimum=1),
         "hidden": list(hidden),
         "num_classes": _as_int(m, "num_classes", "model", minimum=2),
-        "activation": _as_choice(m, "activation", "model", ("relu", "tanh"), default="relu"),
+        "activation": _as_choice(m, "activation", "model", ACTIVATIONS, default="relu"),
         "l2": _as_float(m, "l2", "model", default=0.0, minimum=0.0),
         "representation_layers": _as_int(m, "representation_layers", "model", default=0, minimum=0),
     }
@@ -249,15 +251,19 @@ def _parse_covariance(v, dim: int, where: str) -> dict | str:
         rows = [_as_float_list(r, f"{where} row") for r in v]
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ConfigError(f"{where} must be a {dim}x{dim} matrix.")
+        try:
+            _psd_sqrt(np.asarray(rows), where)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return rows
     raise ConfigError(f'{where} must be "identity", {{"diagonal": [...]}}, or a matrix.')
 
 
-def _parse_linear_law(doc: dict, dim: int, where: str, clients: int | None = None) -> dict:
+def _parse_linear_law(doc: dict, dim: int, where: str, rows_allowed: set[int]) -> dict:
     """Covariance, noise and coefficients of a Gaussian linear law.
 
-    Exactly one coefficient route: a shared coef, one row per client in
-    client_coefs (clients rows when clients is given), or a coef_mode.
+    Exactly one coefficient route: a shared coef, client_coefs with a row
+    count in rows_allowed, or a coef_mode.
     """
     out = {
         "covariance": _parse_covariance(
@@ -278,8 +284,9 @@ def _parse_linear_law(doc: dict, dim: int, where: str, clients: int | None = Non
         rows = [_as_float_list(r, f"{where}.client_coefs row") for r in doc["client_coefs"]]
         if any(len(r) != dim for r in rows):
             raise ConfigError(f"{where}.client_coefs rows must have {dim} entries.")
-        if clients is not None and len(rows) != clients:
-            raise ConfigError(f"{where}.client_coefs must be {clients} rows of {dim}.")
+        if len(rows) not in rows_allowed:
+            counts = " or ".join(str(n) for n in sorted(rows_allowed))
+            raise ConfigError(f"{where}.client_coefs must be {counts} rows of {dim}.")
         out["client_coefs"] = rows
     else:
         out["coef_mode"] = _as_choice(
@@ -289,13 +296,14 @@ def _parse_linear_law(doc: dict, dim: int, where: str, clients: int | None = Non
     return out
 
 
-def _parse_source(s: dict) -> dict:
+def _parse_source(s: dict, clients: int) -> dict:
     where = "data.source"
     kind = _as_choice(s, "kind", where, SOURCE_KINDS)
     if kind == "gaussian_linear":
         _check_keys(s, where, {"kind", "dim"}, LINEAR_LAW_KEYS)
         dim = _as_int(s, "dim", where, minimum=1)
-        return {"kind": kind, "dim": dim, **_parse_linear_law(s, dim, where)}
+        # data.generate: one row shared by all clients, or one per client
+        return {"kind": kind, "dim": dim, **_parse_linear_law(s, dim, where, {1, clients})}
     if kind == "gaussian_clusters":
         _check_keys(
             s,
@@ -335,14 +343,14 @@ def _parse_partition(p: dict) -> dict:
     return {"mode": mode}
 
 
-def _parse_data(d: dict) -> dict:
+def _parse_data(d: dict, clients: int) -> dict:
     _check_keys(
         d,
         "data",
         {"source", "partition", "n_per_client"},
         {"holdout_per_client", "batches_with_replacement"},
     )
-    source = _parse_source(d["source"])
+    source = _parse_source(d["source"], clients)
     partition = _parse_partition(d["partition"])
     out = {
         "source": source,
@@ -365,6 +373,17 @@ def _parse_data(d: dict) -> dict:
             "pooled partitions draw from a single law; per-client coefficients "
             'require partition mode "per_client".'
         )
+    if source.get("balanced"):  # GaussianClusters splits each draw into equal classes
+        pool = "" if partition["mode"] == "per_client" else " * clients"
+        for key, n in {
+            f"data.n_per_client{pool}": out["n_per_client"] * (clients if pool else 1),
+            "data.holdout_per_client": out["holdout_per_client"],
+        }.items():
+            if n % source["num_classes"]:
+                raise ConfigError(
+                    f"{key} = {n} must be a multiple of data.source.num_classes = "
+                    f"{source['num_classes']} for balanced classes."
+                )
     return out
 
 
@@ -425,7 +444,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     }
 
     model = _parse_model(doc["model"])
-    data = _parse_data(doc["data"])
+    data = _parse_data(doc["data"], clients)
 
     if model["family"] == "mlp":
         if data["source"]["kind"] == "gaussian_linear":
@@ -442,6 +461,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             'model.family "logistic_l2" needs -1/+1 labels, which only a file source '
             f'provides; data.source.kind is "{data["source"]["kind"]}".'
         )
+    input_dim = model["input_dim"]
+    dim = data["source"].get("dim", input_dim)  # a file's width is checked when it is read
+    if dim != input_dim:
+        raise ConfigError(f"model.input_dim = {input_dim} must match data.source.dim = {dim}.")
     output = doc.get("output", "fedsim_out")
     if not isinstance(output, str) or not output:
         raise ConfigError("config.output must be a non-empty string.")
@@ -514,16 +537,13 @@ def _linear_law(law: dict, dim: int, clients: int, seed: int) -> GaussianLinear:
     return GaussianLinear(_covariance_matrix(law["covariance"], dim), coefs, law["noise_std"], seed)
 
 
-def build_generator(cfg: ExperimentConfig, seed: int):
-    """Materialize the configured data source for one seed.
+def build_generator(cfg: ExperimentConfig, seed: int) -> GeneratorSpec:
+    """Materialize the configured synthetic data source for one seed.
 
-    Returns a GeneratorSpec, or (X, y) arrays for file sources. Random
-    coefficients and class means come from a stream keyed by the run seed, so
-    the whole data law is reproducible from (config, seed).
+    Random coefficients and class means come from a stream keyed by the run
+    seed, so the whole data law is reproducible from (config, seed).
     """
     src = cfg.canonical["data"]["source"]
-    if src["kind"] == "file":
-        return load_delimited(src["path"])
     if src["kind"] == "gaussian_linear":
         return _linear_law(src, src["dim"], cfg.num_clients, seed)
     gen = streams.substream(seed, streams.COEF)
@@ -541,10 +561,17 @@ def build_shards(cfg: ExperimentConfig, seed: int):
     """
     data_cfg = cfg.canonical["data"]
     part, n_per, clients = data_cfg["partition"], data_cfg["n_per_client"], cfg.num_clients
-    source = build_generator(cfg, seed)
-    if isinstance(source, tuple):  # file data
-        return _partition(*source, part, clients, seed), None
+    if data_cfg["source"]["kind"] == "file":
+        path = data_cfg["source"]["path"]
+        X, y = load_delimited(path)
+        if X.shape[1] != cfg.model.input_dim:
+            raise ConfigError(
+                f"model.input_dim = {cfg.model.input_dim} does not match the {X.shape[1]} "
+                f"features per line of {path}."
+            )
+        return _partition(X, y, part, clients, seed), None
 
+    source = build_generator(cfg, seed)
     if part["mode"] == "per_client":
         shards = generate(source, n_per, clients)
     else:
@@ -580,7 +607,7 @@ def parse_bound_config(doc: dict) -> dict:
         "l2": _as_float(doc, "l2", "bound config", strict_min=0.0),
         "trials": _as_int(doc, "trials", "bound config", minimum=1),
         "seed": _as_int(doc, "seed", "bound config", minimum=0),
-        **_parse_linear_law(doc, dim, "bound config", clients),
+        **_parse_linear_law(doc, dim, "bound config", {clients}),
     }
 
     weights = doc.get("weights")

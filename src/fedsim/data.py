@@ -176,8 +176,9 @@ def _contiguous_split(order: np.ndarray, num_clients: int) -> list[np.ndarray]:
 class Shards(tuple):
     """Client shards that own their pool: X (N, d), y (N,) and each shard's size.
 
-    The shards are consecutive row blocks of X and y, as views, so
-    metrics.pooled takes them as they are, without a copy.
+    The shards are consecutive row blocks of X and y, as views. This is the
+    one multi-shard type the engine and the metrics risk functions take; they
+    read the whole pool at once. Not picklable: each process builds its own.
     """
 
     def __new__(cls, X, y, sizes):
@@ -194,9 +195,6 @@ class Shards(tuple):
         self = super().__new__(cls, shards)
         self.X, self.y, self.sizes = X, y, sizes
         return self
-
-    def __reduce__(self):
-        return Shards, (self.X, self.y, self.sizes)
 
 
 def stacked_shards(samples) -> Shards:

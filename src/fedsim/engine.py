@@ -29,12 +29,11 @@ import numpy as np
 
 from . import models
 from . import rng as streams
-from .data import DatasetShard, draw_round_batches, draw_round_batches_with_replacement
+from .data import GaussianLinear, Shards, draw_round_batches, draw_round_batches_with_replacement
 from .metrics import (
     MetricsRecord,
     consensus_map,
     empirical_risk,
-    pooled,
     population_risk_estimate,
     shard_risks,
 )
@@ -101,17 +100,6 @@ class ScheduleSpec:
     def period(self, role: Role) -> int:
         """Steps between two syncs of a role's blocks: tau for the head, alpha*tau otherwise."""
         return self.tau if role == Role.HEAD else self.alpha * self.tau
-
-
-def sync_due(step: int, role: Role, schedule: ScheduleSpec) -> bool:
-    """Whether blocks of the given role sync after completed step `step` (>= 1).
-
-    Both role conditions are evaluated independently, so at a representation
-    boundary the head syncs too.
-    """
-    if step < 1:
-        raise ValueError("step counts completed local steps, starting at 1.")
-    return step % schedule.period(role) == 0
 
 
 @dataclass(frozen=True)
@@ -316,21 +304,19 @@ class RunResult:
 
 
 def _uniform_average(theta: np.ndarray, layout: BlockLayout) -> ParamVector:
-    k = theta.shape[0]
-    return ParamVector(weighted_average(theta, [1.0 / k] * k), layout)
+    return ParamVector(weighted_average(theta, client_weights(None, theta.shape[0])), layout)
 
 
-def _sync_risks(model: ModelSpec, avg: ParamVector, pools, weights, per_client_risks: bool):
-    """(train, test, gap, per-client risks) of a sync's averaged model on one run's pools."""
-    train_pool, test_pool = pools
+def _sync_risks(model: ModelSpec, avg: ParamVector, run: RunSpec, weights, per_client_risks: bool):
+    """(train, test, gap, per-client risks) of a sync's averaged model on one run's data."""
     if per_client_risks:  # each shard once, combined as empirical_risk combines them
-        pcr = shard_risks(model, avg, train_pool)
+        pcr = shard_risks(model, avg, run.shards)
         train = float(weighted_average(pcr, weights))
     else:
-        pcr, train = None, empirical_risk(model, avg, train_pool, weights)
+        pcr, train = None, empirical_risk(model, avg, run.shards, weights)
     test = gap = None
-    if test_pool is not None:
-        test = population_risk_estimate(model, avg, test_pool, weights)
+    if run.pop_source is not None:
+        test = population_risk_estimate(model, avg, run.pop_source, weights)
         gap = test - train
     return train, test, gap, pcr
 
@@ -515,9 +501,9 @@ def _round_streams(seeds: Sequence[int], num_clients: int, rounds: int, sampled:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """What one run of a stack owns: its shards, seed, population source and record callback."""
+    """What one run of a stack owns: its Shards, seed, population source and record callback."""
 
-    shards: Sequence[DatasetShard]
+    shards: Shards
     seed: int = 0
     pop_source: object = None
     on_record: Callable[[int, int, MetricsRecord], None] | None = None
@@ -563,7 +549,7 @@ def check_setup(
 def run_experiment(
     algorithm: str,
     model: ModelSpec,
-    shards: Sequence[DatasetShard],
+    shards: Shards,
     schedule: ScheduleSpec,
     *,
     seed: int = 0,
@@ -577,7 +563,7 @@ def run_experiment(
     the last step synced every role (rounds*tau divisible by alpha*tau) this
     equals the last broadcast bit for bit. pop_source feeds the test risk
     through population_risk_estimate: a GaussianLinear spec with a ridge model
-    (exact closed form) or a list of held-out shards. This is the one-run
+    (exact closed form) or a Shards of held-out samples. This is the one-run
     stack of run_experiments, which takes the options.
     """
     run = RunSpec(shards, seed, pop_source, on_record)
@@ -618,6 +604,12 @@ def run_experiments(
     """
     if not runs:
         raise ValueError("need at least one run.")
+    sources = (Shards, GaussianLinear, type(None))
+    if not all(isinstance(r.shards, Shards) and isinstance(r.pop_source, sources) for r in runs):
+        raise ValueError(
+            "a run's shards must be a data.Shards, and its pop_source a data.Shards, "
+            "a GaussianLinear or None."
+        )
     num_clients = len(runs[0].shards)
     if num_clients < 1:
         raise ValueError("need at least one client shard.")
@@ -637,10 +629,8 @@ def run_experiments(
                     f"shard ({smallest}): config violates the without-replacement sampling model."
                 )
     live_control = algorithm in CONTROL_ALGORITHMS and not pin_control
-    # each run's training shards laid end to end once, for the label check and the risks
-    trains = [pooled(run.shards) for run in runs]
-    for train in trains:
-        check_labels(model, train.y)
+    for run in runs:
+        check_labels(model, run.shards.y)
 
     # rows g*K to (g+1)*K of each (G*K, P) matrix are run g's clients, and
     # blocks[g] selects them; the matrices are only updated in place
@@ -657,17 +647,14 @@ def run_experiments(
 
     comms = [CommCounter.zeros(num_clients) for _ in runs]
     records: list[list[MetricsRecord]] = [[] for _ in runs]
-    risks_of = None
-    if risk_every_sync:
-        pools = [(train, pooled(run.pop_source)) for run, train in zip(runs, trains)]
 
-        def risks_of(g, values):
-            return _sync_risks(model, ParamVector(values, layout), pools[g], w, per_client_risks)
+    def risks_of(g, values):
+        return _sync_risks(model, ParamVector(values, layout), runs[g], w, per_client_risks)
 
     draw = draw_round_batches_with_replacement if batches_with_replacement else draw_round_batches
     tau, eta, batch_size = schedule.tau, schedule.eta, schedule.batch_size
     # each shard's first row in its run's pool, for the batch indices
-    starts = [np.cumsum((0,) + train.sizes[:-1])[:, None, None] for train in trains]
+    starts = [np.cumsum((0,) + run.shards.sizes[:-1])[:, None, None] for run in runs]
     round_streams = _round_streams(
         [run.seed for run in runs], num_clients, schedule.rounds, participation.mode != "full"
     )
@@ -678,7 +665,7 @@ def run_experiments(
             # (G*K, tau, b, d) and (G*K, tau, b): step t reads every client's batch at once,
             # gathered from each run's pool with one index
             X_parts, y_parts = [], []
-            for train, first, states in zip(trains, starts, batch_states):
+            for train, first, states in zip((run.shards for run in runs), starts, batch_states):
                 idx = np.stack(
                     [
                         draw(train[k], tau, batch_size, streams.from_state(states[k]))
@@ -708,7 +695,7 @@ def run_experiments(
                 roles_due = [
                     role
                     for role in (Role.HEAD, Role.REPRESENTATION)
-                    if sync_due(step, role, schedule) and layout.role_size(role) > 0
+                    if step % schedule.period(role) == 0 and layout.role_size(role) > 0
                 ]
                 emit = bool(roles_due) or (consensus_every > 0 and step % consensus_every == 0)
                 for g, (run, rows) in enumerate(zip(runs, blocks)):

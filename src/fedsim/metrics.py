@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import GaussianLinear, Shards, stacked_shards
+from .data import GaussianLinear, Shards
 from .models import (
     ModelSpec,
     RidgeSpec,
@@ -47,46 +47,34 @@ class MetricsRecord:
         return dict(vars(self))
 
 
-def pooled(source):
-    """A Shards, a GaussianLinear or None as it is; any other shard sequence as a Shards copy."""
-    if source is None or isinstance(source, (Shards, GaussianLinear)):
-        return source
-    return stacked_shards([(s.X, s.y) for s in source])
-
-
-def shard_risks(model: ModelSpec, params: ParamVector, shards) -> list[float]:
-    """Mean loss of params on each shard, as batch_loss per shard would give it.
-
-    shards is a sequence of DatasetShard, such as a Shards.
-    """
-    pool = pooled(shards)
-    values = batch_loss(model, params, pool.X, pool.y, segments=pool.sizes)
+def shard_risks(model: ModelSpec, params: ParamVector, shards: Shards) -> list[float]:
+    """Mean loss of params on each shard, as batch_loss per shard would give it."""
+    values = batch_loss(model, params, shards.X, shards.y, segments=shards.sizes)
     if not np.all(np.isfinite(values)):
         raise ValueError("loss is non-finite.")
     return [float(v) for v in values]
 
 
 def empirical_risk(
-    model: ModelSpec, params: ParamVector, shards, weights: Sequence[float]
+    model: ModelSpec, params: ParamVector, shards: Shards, weights: Sequence[float]
 ) -> float:
     """Client-weighted empirical risk sum_k w_k * mean-loss(shard_k)."""
-    pool = pooled(shards)
-    w = client_weights(weights, len(pool.sizes), "shard")
+    w = client_weights(weights, len(shards.sizes), "shard")
     # anchored form: identical shard risks collapse to the first value exactly
-    return float(weighted_average(shard_risks(model, params, pool), w))
+    return float(weighted_average(shard_risks(model, params, shards), w))
 
 
 def population_risk_estimate(
     model: ModelSpec,
     params: ParamVector,
-    source,
+    source: GaussianLinear | Shards,
     weights: Sequence[float],
 ) -> float:
     """Client-weighted population risk.
 
     source selects the route:
       - GaussianLinear with a ridge model: exact closed form;
-      - a sequence of DatasetShard, such as a Shards: held-out estimate.
+      - a Shards of held-out samples: held-out estimate.
     """
     if isinstance(source, GaussianLinear):
         if not isinstance(model, RidgeSpec):
@@ -99,12 +87,11 @@ def population_risk_estimate(
                 model, params, source.covariance, source.coef_for(k), source.noise_std
             )
         return total
-    pool = pooled(source)
-    w = client_weights(weights, len(pool.sizes), "holdout shard")
-    losses = sample_losses(model, params, pool.X, pool.y, segments=pool.sizes)
+    w = client_weights(weights, len(source.sizes), "holdout shard")
+    losses = sample_losses(model, params, source.X, source.y, segments=source.sizes)
     total = 0.0
     lo = 0
-    for wk, n in zip(w.tolist(), pool.sizes):
+    for wk, n in zip(w.tolist(), source.sizes):
         total += wk * float(np.mean(losses[lo : lo + n]))
         lo += n
     return total

@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from test_config import DATA_RULE_CASES
 
 from fedsim.cli import main, parse_grid
 from fedsim.config import ConfigError, ExperimentConfig
@@ -488,6 +489,37 @@ def test_no_grid_point_trains_until_every_point_passes_set_up(
 def test_sweep_rejects_invalid_grid_point(tmp_path):
     cfg = _write(tmp_path, _ridge_doc())  # fedavg: alpha must stay 1
     assert main(["sweep", cfg, "--grid", "alpha=1,5", "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("doc, message", DATA_RULE_CASES)
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "1"], ["sweep", "2"]], ids="-".join)
+def test_a_data_rule_fails_at_validation_naming_its_key(
+    tmp_path, capsys, monkeypatch, argv, doc, message
+):
+    from fedsim import cli
+
+    calls = []
+    for name in ("run_experiment", "run_experiments", "build_shards"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    command, *workers = argv
+    monkeypatch.setenv("FEDSIM_WORKERS", workers[0] if workers else "1")
+    out = tmp_path / "o"
+    grid = ["--grid", "eta=0.05,0.1"] if command == "sweep" else []
+    assert main([command, _write(tmp_path, doc), *grid, "--out", str(out)]) == 1
+    # one line, with the key and without a seed: no point or seed ever ran
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == []
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "cov, rule", [([[1.0, 0.5], [0.0, 1.0]], "symmetric"), ([[1.0, 2.0], [2.0, 1.0]], "positive")]
+)
+def test_verify_bound_checks_the_covariance_at_validation(tmp_path, capsys, cov, rule):
+    out = tmp_path / "o"
+    assert main(["verify-bound", _write(tmp_path, _bound_doc(covariance=cov)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: bound config.covariance must be {rule}")
+    assert not out.exists()
 
 
 def _two_seed_ridge_doc():

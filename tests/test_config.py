@@ -196,6 +196,86 @@ def test_pooled_partition_needs_shared_law():
     assert parse_config(doc).canonical["data"]["source"]["client_coefs"][0] == [1.0, 0.0]
 
 
+def _data_rule_cases():
+    """A pytest.param(config, message) per data rule checked at validation; none of them can run."""
+    cases = []
+
+    def case(name, doc, message):
+        cases.append(pytest.param(doc, message, id=name))
+
+    doc = _doc()
+    doc["model"]["input_dim"] = 3
+    case("input_dim_linear", doc, "model.input_dim = 3 must match data.source.dim = 2.")
+    doc = _mlp_doc()
+    doc["data"]["source"]["dim"] = 4
+    case("input_dim_clusters", doc, "model.input_dim = 3 must match data.source.dim = 4.")
+    doc = _doc(clients=5)
+    doc["data"]["source"]["client_coefs"] = [[1.0, 0.0], [0.0, 1.0]]
+    case("client_coefs_rows", doc, "data.source.client_coefs must be 1 or 5 rows of 2.")
+    for name, cov, rule in (
+        ("covariance_symmetric", [[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+        ("covariance_psd", [[1.0, 2.0], [2.0, 1.0]], "positive semi-definite"),
+    ):
+        doc = _doc()
+        doc["data"]["source"]["covariance"] = cov
+        case(name, doc, f"data.source.covariance must be {rule}.")
+    rule = "must be a multiple of data.source.num_classes = 4 for balanced classes."
+    for name, partition, n, holdout, key in (
+        ("balanced_per_client", {"mode": "per_client"}, 18, 0, "data.n_per_client = 18"),
+        ("balanced_pooled", {"mode": "iid"}, 18, 0, "data.n_per_client * clients = 54"),
+        ("balanced_holdout", {"mode": "per_client"}, 20, 6, "data.holdout_per_client = 6"),
+    ):
+        doc = _mlp_doc()
+        doc["data"].update(partition=partition, n_per_client=n, holdout_per_client=holdout)
+        doc["data"]["source"]["balanced"] = True
+        case(name, doc, f"{key} {rule}")
+    return cases
+
+
+DATA_RULE_CASES = _data_rule_cases()
+
+
+@pytest.mark.parametrize("doc, message", DATA_RULE_CASES)
+def test_each_data_rule_is_a_config_error_that_names_its_key(doc, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == message
+
+
+def test_the_data_rules_admit_what_the_draws_take():
+    doc = _doc()
+    doc["data"]["source"]["covariance"] = [[2.0, 1.0], [1.0, 2.0]]
+    doc["data"]["source"]["client_coefs"] = [[1.0, 0.0]]  # one row shared by all clients
+    assert parse_config(doc).canonical["data"]["source"]["covariance"] == [[2.0, 1.0], [1.0, 2.0]]
+    pooled = _mlp_doc(clients=2)  # 2 * 10 samples split into 4 equal classes
+    pooled["data"].update(partition={"mode": "iid"}, n_per_client=10, holdout_per_client=8)
+    pooled["data"]["source"]["balanced"] = True
+    shards, holdout = build_shards(parse_config(pooled), seed=1)
+    assert sum(shards.sizes) == 20 and holdout.sizes == (8, 8)
+
+
+@pytest.mark.parametrize(
+    "cov, rule", [([[1.0, 0.5], [0.0, 1.0]], "symmetric"), ([[1.0, 2.0], [2.0, 1.0]], "positive")]
+)
+def test_a_bound_config_covariance_is_checked_at_validation(cov, rule):
+    doc = {"clients": 2, "n_per_client": 20, "dim": 2, "l2": 0.5, "trials": 150, "seed": 4}
+    with pytest.raises(ConfigError, match=f"^bound config.covariance must be {rule}"):
+        parse_bound_config(dict(doc, covariance=cov))
+
+
+def test_a_data_file_must_have_model_input_dim_features(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"{i % 5}.5 {i % 3} {i % 4}\n" for i in range(24)))
+    doc = _mlp_doc()
+    doc["data"].update(source={"kind": "file", "path": str(path)}, partition={"mode": "iid"})
+    cfg = parse_config(doc)  # the file's width is known only once it is read
+    with pytest.raises(ConfigError) as info:
+        build_shards(cfg, seed=3)
+    assert str(info.value) == (
+        f"model.input_dim = 3 does not match the 2 features per line of {path}."
+    )
+
+
 def test_file_source_constraints(tmp_path):
     path = tmp_path / "data.csv"
     doc = _doc()
@@ -360,6 +440,7 @@ def _routes(tmp_path):
     file_doc = _mlp_doc()
     file_doc["data"]["source"] = {"kind": "file", "path": str(path)}
     file_doc["data"]["partition"] = {"mode": "iid"}
+    file_doc["model"]["input_dim"] = 2
     holdout = _mlp_doc()
     holdout["data"]["holdout_per_client"] = 8
     docs = {"per_client": _mlp_doc(), "file": file_doc, "holdout": holdout}
@@ -587,9 +668,11 @@ def _experiment_docs(draw):
         partition["classes_per_client"] = draw(st.integers(1, 3))
     elif mode == "dirichlet":
         partition["concentration"] = draw(_pos)
-    data = {"source": source, "partition": partition, "n_per_client": draw(st.integers(1, 50))}
+    # balanced classes draw every sample count in equal classes
+    unit = source["num_classes"] if source.get("balanced") else 1
+    data = {"source": source, "partition": partition, "n_per_client": unit * draw(st.integers(1, 50))}
     if kind != "file" and draw(st.booleans()):
-        data["holdout_per_client"] = draw(st.integers(0, 20))
+        data["holdout_per_client"] = unit * draw(st.integers(0, 20))
     if draw(st.booleans()):
         data["batches_with_replacement"] = draw(st.booleans())
     schedule = {

@@ -20,7 +20,6 @@ from fedsim.engine import (
     run_experiment,
     sample_participants,
     scaffold_control_update,
-    sync_due,
 )
 from fedsim.metrics import consensus_map
 from fedsim.models import MlpSpec, RidgeSpec, build_layout, init_params, loss_and_grad
@@ -39,30 +38,9 @@ def _mlp_task(num_clients=3, n=60, dim=4, classes=4, seed=5):
     return model, generate(spec, n, num_clients)
 
 
-def test_sync_due_examples():
-    sched = ScheduleSpec(tau=5, eta=0.1, rounds=20, batch_size=1, alpha=10)
-    assert sync_due(5, Role.HEAD, sched) and not sync_due(5, Role.REPRESENTATION, sched)
-    assert sync_due(50, Role.HEAD, sched) and sync_due(50, Role.REPRESENTATION, sched)
-    assert not sync_due(3, Role.HEAD, sched) and not sync_due(3, Role.REPRESENTATION, sched)
-    with pytest.raises(ValueError):
-        sync_due(0, Role.HEAD, sched)
-
-
 def test_period_of_each_role():
     sched = ScheduleSpec(tau=5, eta=0.1, rounds=20, batch_size=1, alpha=10)
     assert sched.period(Role.HEAD) == 5 and sched.period(Role.REPRESENTATION) == 50
-
-
-def test_sync_containment():
-    # whenever representation syncs, the head syncs too
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        tau = int(rng.integers(1, 8))
-        alpha = int(rng.integers(1, 8))
-        sched = ScheduleSpec(tau=tau, eta=0.1, rounds=50, batch_size=1, alpha=alpha)
-        for step in range(1, sched.total_steps + 1):
-            if sync_due(step, Role.REPRESENTATION, sched):
-                assert sync_due(step, Role.HEAD, sched)
 
 
 def test_schedule_validation():
@@ -457,6 +435,27 @@ def test_run_experiments_raises_each_set_up_rule_before_training():
     # a pinned control is never scaled, so its step size may be that small
     layout = check_setup("scaffold", ridge, tiny, 3, pin_control=True)
     assert layout == build_layout(ridge)
+
+
+def test_a_run_takes_its_data_as_a_shards_only(monkeypatch):
+    from fedsim import engine
+
+    model, shards = _ridge_task()
+    sched = ScheduleSpec(tau=2, eta=0.05, rounds=2, batch_size=5)
+    draws = []
+    for name in ("draw_round_batches", "draw_round_batches_with_replacement"):
+        monkeypatch.setattr(engine, name, lambda *args: draws.append(args))
+    message = r"must be a data\.Shards"
+    with pytest.raises(ValueError, match=message):
+        run_experiment("fedavg", model, list(shards), sched, seed=0)
+    with pytest.raises(ValueError, match=message):
+        run_experiment("fedavg", model, shards, sched, seed=0, pop_source=list(shards))
+    with pytest.raises(ValueError, match=message):
+        run_experiment(
+            "fedavg", model, shards, sched, seed=0, pop_source=list(shards),
+            batches_with_replacement=True,
+        )
+    assert draws == []
 
 
 def test_divergence_error_names_round_step_client():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedsim import engine, models
 from fedsim import rng as streams
-from fedsim.data import DatasetShard, GaussianClusters, draw_round_batches, generate
+from fedsim.data import GaussianClusters, draw_round_batches, generate, stacked_shards
 from fedsim.engine import ClientState, DivergenceError, ScheduleSpec, local_sgd_step
 from fedsim.metrics import population_risk_estimate, sample_losses, shard_risks
 from fedsim.models import (
@@ -157,10 +157,9 @@ def test_shard_risks_equal_one_batch_loss_per_shard(monkeypatch):
     rng = np.random.default_rng(3)
     model = MlpSpec(input_dim=3, hidden=(4,), num_classes=3, activation="tanh", l2=0.1)
     params = ParamVector(rng.standard_normal(build_layout(model).total_params), build_layout(model))
-    shards = [
-        DatasetShard(rng.standard_normal((n, 3)), rng.integers(0, 3, size=n))
-        for n in (3, 1, 700, 3, 700, 40)
-    ]
+    shards = stacked_shards(
+        [(rng.standard_normal((n, 3)), rng.integers(0, 3, size=n)) for n in (3, 1, 700, 3, 700, 40)]
+    )
     assert shard_risks(model, params, shards) == [
         batch_loss(model, params, s.X, s.y) for s in shards
     ]

@@ -1,16 +1,13 @@
 """Risk estimators and consensus distances."""
 
-import pickle
-
 import numpy as np
 import pytest
 
-from fedsim.data import DatasetShard, GaussianLinear, Shards, generate
+from fedsim.data import GaussianLinear, Shards, generate, stacked_shards
 from fedsim.metrics import (
     accuracy,
     consensus_map,
     empirical_risk,
-    pooled,
     population_risk_estimate,
     sample_losses,
 )
@@ -77,7 +74,8 @@ def test_empirical_risk_copies_collapse_exactly():
     params = init_params(model, build_layout(model), np.random.default_rng(3))
     single = empirical_risk(model, params, shards, [1.0])
     for copies in (2, 3, 5):
-        tiled = empirical_risk(model, params, shards * copies, [1.0 / copies] * copies)
+        tiled = stacked_shards([(shards.X, shards.y)] * copies)
+        tiled = empirical_risk(model, params, tiled, [1.0 / copies] * copies)
         assert tiled == single, copies
 
 
@@ -179,33 +177,16 @@ def test_accuracy_hand_cases():
         accuracy(ridge, ParamVector(np.array([1.0]), build_layout(ridge)), X, [1, -1, 1])
 
 
-def test_pooled_takes_consecutive_row_views_without_a_copy():
+def test_shards_are_consecutive_row_views_of_their_pool():
     rng = np.random.default_rng(3)
     X, y = rng.standard_normal((12, 2)), rng.integers(0, 3, size=12)
     shards = Shards(X, y, [3, 4, 5])
-    assert pooled(shards) is shards
     assert np.shares_memory(shards.X, X) and np.shares_memory(shards.y, y)
     assert shards.sizes == (3, 4, 5)
+    for shard, lo in zip(shards, (0, 3, 7)):
+        assert np.shares_memory(shard.X, X) and np.array_equal(shard.X, X[lo : lo + shard.n])
     assert np.array_equal(shards.X, np.concatenate([s.X for s in shards]))
     assert np.array_equal(shards.y, np.concatenate([s.y for s in shards]))
-    again = pickle.loads(pickle.dumps(shards))
-    assert again.sizes == shards.sizes and np.array_equal(again[2].X, X[7:])
     for sizes, labels in (([3, 4], y), ([3, 4, 5], y[:11])):
         with pytest.raises(ValueError, match="sizes and labels must match"):
             Shards(X, labels, sizes)
-    # any other sequence, even of the same views in order: one Shards copy of the same values
-    others = [
-        list(shards),
-        [shards[1], shards[0]],
-        [shards[0], shards[2]],
-        [DatasetShard(X[:3], y[:3]), DatasetShard(X[3:].copy(), y[3:].copy())],
-        [DatasetShard(X[:3, :1], y[:3]), DatasetShard(X[3:6, :1], y[3:6])],
-    ]
-    for part in others:
-        pool = pooled(part)
-        assert isinstance(pool, Shards) and pool.sizes == tuple(s.n for s in part)
-        assert not np.shares_memory(pool.X, X)
-        assert np.array_equal(pool.X, np.concatenate([s.X for s in part]))
-        assert np.array_equal(pool.y, np.concatenate([s.y for s in part]))
-        for copy, shard in zip(pool, part):
-            assert np.shares_memory(copy.X, pool.X) and np.array_equal(copy.X, shard.X)
