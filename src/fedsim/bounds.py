@@ -302,13 +302,13 @@ def verify_participation_identities(
     draws: int,
     seed: int,
     weights: np.ndarray | None = None,
-    x: np.ndarray | None = None,
 ) -> IdentityReport:
     """Monte Carlo check of the three reweighting identities for one scheme.
 
     scheme "with_replacement" draws num_sampled client indices from the client
     weights and reweights uniformly; "without_replacement" draws a uniform
-    subset and reweights by K(k)*K/num_sampled. Each identity is tested on
+    subset and reweights by K(k)*K/num_sampled. The identities average the
+    per-client values x_k = k, k = 1..K. Each identity is tested on
     per-draw deltas (draw value minus analytic value): the check passes when
     |mean(delta)| <= 3 * stderr(delta). Per-draw and analytic values share one
     evaluation path, so the degenerate without-replacement num_sampled ==
@@ -330,11 +330,7 @@ def verify_participation_identities(
     if draws < 2:
         raise ValueError("need at least 2 draws.")
     w = client_weights(weights, num_clients)
-    if x is None:
-        x = np.arange(1, num_clients + 1, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (num_clients,):
-        raise ValueError("one value per client required.")
+    x = np.arange(1, num_clients + 1, dtype=np.float64)
 
     scheme_id = 1 if scheme == "with_replacement" else 2
     gen = streams.substream(seed, streams.IDENTITY, scheme_id, num_sampled)

@@ -15,7 +15,6 @@ import argparse
 import csv
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -64,12 +63,12 @@ def _csv_writer(fh, prov: dict):
 
 
 def _can_overlap_risks() -> bool:
-    """Whether run may fork a helper for its sync risks: 2+ usable CPUs and fork."""
+    """Whether run should fork its sync-risk helper: 2+ usable CPUs (the engine checks os.fork)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return cpus >= 2 and "fork" in multiprocessing.get_all_start_methods()
+    return cpus >= 2
 
 
 def _final_metrics(cfg, shards, pop_source, result) -> dict:

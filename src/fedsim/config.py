@@ -605,7 +605,7 @@ def parse_bound_config(doc: dict) -> dict:
         "n_per_client": _as_int(doc, "n_per_client", "bound config", minimum=2),
         "dim": dim,
         "l2": _as_float(doc, "l2", "bound config", strict_min=0.0),
-        "trials": _as_int(doc, "trials", "bound config", minimum=1),
+        "trials": _as_int(doc, "trials", "bound config", minimum=MIN_TRIALS),
         "seed": _as_int(doc, "seed", "bound config", minimum=0),
         **_parse_linear_law(doc, dim, "bound config", {clients}),
     }

@@ -171,8 +171,6 @@ class CommCounter:
         return cls(np.zeros(num_clients, dtype=np.int64), np.zeros(num_clients, dtype=np.int64))
 
     def record_sync(self, size: int, participants: np.ndarray) -> None:
-        if size == 0:
-            return
         # a client sampled twice still uploads once
         sent = np.zeros(self.uploaded.shape, dtype=bool)
         sent[participants] = True
@@ -342,19 +340,37 @@ def _serve(conn, evaluate) -> None:
         conn.send(None if shown else risks)
 
 
-class _RiskHelper:
-    """One forked process that computes sync risks while the parent trains on.
+class _RecordQueue:
+    """Fills in each sync record's risks and hands records to on_record in order.
 
-    It shares the parent's memory as it was at the fork, so a request is just
-    the run index and the averaged parameter vector. It ignores SIGINT (a
-    Ctrl-C reaches the parent, which stops it) and exits at EOF on its pipe,
-    so it ends with its parent however the parent ends. When the fork fails
-    or the helper dies, alive turns false and the caller computes inline.
-    fedsim starts no thread of its own, and OpenBLAS resets its thread pool
-    around a fork, so the helper inherits no lock held by another thread.
+    Without a helper, a record's risks are computed when it is made. With
+    overlap, entry forks one helper process that computes them while training
+    goes on, and the records made meanwhile wait behind that sync's, so
+    on_record sees the order it would see inline. The helper shares the
+    parent's memory as it was at the fork, so a request is just the run index
+    and the averaged parameter vector. At most one request is in flight: a
+    sync first collects the one before it. A sync whose risks the helper did
+    not give back is computed inline. When the fork fails (or the platform
+    has no os.fork) or the helper dies, the pipe is closed and every later
+    sync is computed inline too.
+
+    The helper ignores SIGINT (a Ctrl-C reaches the parent, which stops it)
+    and exits at EOF on its pipe, so it ends with its parent however the
+    parent ends; exit closes the pipe and reaps it. fedsim starts no thread
+    of its own, and OpenBLAS resets its thread pool around a fork, so the
+    helper inherits no lock held by another thread.
     """
 
-    def __init__(self, evaluate):
+    def __init__(self, evaluate, overlap: bool):
+        self.evaluate = evaluate
+        self.overlap = overlap
+        self.conn = self.pid = None  # the pipe to the helper while it serves; its pid until reaped
+        self.request = None
+        self.waiting: list = []  # (on_record, record); the first awaits self.request
+
+    def __enter__(self) -> "_RecordQueue":
+        if not self.overlap:
+            return self
         # as multiprocessing's fork start does: nothing buffered is written twice
         for stream in (sys.stdout, sys.stderr):
             try:
@@ -364,8 +380,8 @@ class _RiskHelper:
         self.conn, child = Pipe()
         try:
             self.pid = os.fork()
-        except OSError:
-            self.pid = None
+        except (AttributeError, OSError):  # no os.fork here, or no process to spare
+            self._drop()
         if self.pid == 0:
             # the helper leaves only through os._exit: it never returns into
             # the caller's stack, runs no atexit handler and flushes no stdio
@@ -373,62 +389,11 @@ class _RiskHelper:
             try:
                 self.conn.close()
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                _serve(child, evaluate)
+                _serve(child, self.evaluate)
                 code = 0
             finally:
                 os._exit(code)
         child.close()
-        self.alive = self.pid is not None
-
-    def send(self, request) -> bool:
-        """Hand the helper a request; False when it is gone."""
-        if self.alive:
-            try:
-                self.conn.send(request)
-            except OSError:
-                self.alive = False
-        return self.alive
-
-    def receive(self):
-        """The risks for the last request, or None if the caller must compute them."""
-        try:
-            return self.conn.recv()
-        except (EOFError, OSError):
-            self.alive = False
-            return None
-
-    def close(self) -> None:
-        """Close the pipe, which ends the helper, and reap it."""
-        self.conn.close()
-        if self.pid is not None:
-            try:
-                os.waitpid(self.pid, 0)
-            except ChildProcessError:
-                pass
-
-
-class _RecordQueue:
-    """Fills in each sync record's risks and hands records to on_record in order.
-
-    Without a helper, a record's risks are computed when it is made. With
-    one (overlap: forked on entry, reaped on exit), they are computed there
-    while training goes on, and the records made meanwhile wait behind that
-    sync's, so on_record sees the order it would see inline. At most one
-    request is in flight: a sync first collects the one before it. A sync
-    whose risks the helper did not give back is computed inline, and a helper
-    that is gone leaves every later sync to be computed inline too.
-    """
-
-    def __init__(self, evaluate, overlap: bool):
-        self.evaluate = evaluate
-        self.overlap = overlap
-        self.helper = None
-        self.request = None
-        self.waiting: list = []  # (on_record, record); the first awaits self.request
-
-    def __enter__(self) -> "_RecordQueue":
-        if self.overlap:
-            self.helper = _RiskHelper(self.evaluate)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -439,16 +404,30 @@ class _RecordQueue:
             if exc_type is None or issubclass(exc_type, Exception):
                 self.collect()
         finally:
-            if self.helper is not None:
-                self.helper.close()
+            if self.conn is not None:
+                self._drop()
+            if self.pid is not None:
+                try:
+                    os.waitpid(self.pid, 0)
+                except ChildProcessError:
+                    pass
+
+    def _drop(self) -> None:
+        """Close the pipe, which ends the helper if it still runs; compute inline from now on."""
+        self.conn.close()
+        self.conn = None
 
     def add(self, on_record, rec: MetricsRecord, request=None) -> None:
         """Queue rec; request, when given, is the (run, parameters) of its risks."""
         if request is not None:
             self.collect()
-            if self.helper is not None and self.helper.send(request):
-                self.request = request
-            else:
+            if self.conn is not None:
+                try:
+                    self.conn.send(request)
+                    self.request = request
+                except OSError:
+                    self._drop()
+            if self.request is None:
                 _fill_risks(rec, self.evaluate(*request))
         if self.request is not None:
             self.waiting.append((on_record, rec))
@@ -461,7 +440,11 @@ class _RecordQueue:
             return
         request, waiting = self.request, self.waiting
         self.request, self.waiting = None, []
-        risks = self.helper.receive()
+        try:
+            risks = self.conn.recv()
+        except (EOFError, OSError):
+            self._drop()
+            risks = None
         _fill_risks(waiting[0][1], self.evaluate(*request) if risks is None else risks)
         for on_record, rec in waiting:
             if on_record is not None:
@@ -598,9 +581,10 @@ def run_experiments(
     after the client names the row of the whole stack.
 
     overlap_risks forks one helper process that computes the sync risks
-    while training goes on. The records, the order of the on_record calls,
-    and on a failure the error raised and the records emitted before it are
-    those of the inline path.
+    while training goes on; without os.fork, or when the fork fails, they are
+    computed inline. The records, the order of the on_record calls, and on a
+    failure the error raised and the records emitted before it are those of
+    the inline path.
     """
     if not runs:
         raise ValueError("need at least one run.")

@@ -67,10 +67,8 @@ class BlockLayout:
         last = self.blocks[-1]
         return last.offset + last.length
 
-    def role_slices(self, role: Role | None) -> tuple[slice, ...]:
-        """Slices of the blocks with the given role; all blocks when role is None."""
-        if role is None:
-            return tuple(b.slice for b in self.blocks)
+    def role_slices(self, role: Role) -> tuple[slice, ...]:
+        """Slices of the blocks with the given role."""
         return tuple(b.slice for b in self.blocks if b.role == role)
 
     def role_size(self, role: Role) -> int:

@@ -269,9 +269,9 @@ def test_identities_with_replacement_degenerate_weights():
 
 def test_identities_without_replacement():
     w = np.array([0.4, 0.3, 0.2, 0.1])
-    x = np.array([2.0, -1.0, 0.5, 3.0])
+    x = np.arange(1.0, 5.0)  # the per-client values 1..K
     rep = verify_participation_identities(
-        4, 2, "without_replacement", draws=30000, seed=3, weights=w, x=x
+        4, 2, "without_replacement", draws=30000, seed=3, weights=w
     )
     assert rep.passed
     # factor^{j-1} * sum_k w_k^j x_k
@@ -297,10 +297,6 @@ def test_identities_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         verify_participation_identities(
             3, 2, "with_replacement", draws=10, seed=0, weights=np.array([0.5, 0.4, 0.2])
-        )
-    with pytest.raises(ValueError, match="one value per client"):
-        verify_participation_identities(
-            3, 2, "with_replacement", draws=10, seed=0, x=np.array([1.0])
         )
 
 
@@ -329,12 +325,11 @@ def test_identities_independent_of_chunk_size(monkeypatch, num_clients, num_samp
     width = max(num_clients, num_sampled)
     w = np.array([0.35, 0.25, 0.2, 0.15, 0.05][:num_clients])
     w = w / np.sum(w)
-    x = np.array([2.0, -1.0, 0.5, 3.0, -4.0][:num_clients])
     reports = []
     for rows in (1, 7, 200):
         monkeypatch.setattr(models, "STACK_ELEMENTS", rows * width)
         rep = verify_participation_identities(
-            num_clients, num_sampled, scheme, draws=200, seed=6, weights=w, x=x
+            num_clients, num_sampled, scheme, draws=200, seed=6, weights=w
         )
         reports.append(rep.to_json_dict())
     assert reports[0] == reports[1] == reports[2]

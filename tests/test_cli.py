@@ -730,7 +730,7 @@ def test_verify_bound_empty_identity_sizes_exit_1(tmp_path, capsys):
 def test_verify_bound_insufficient_trials(tmp_path, capsys):
     cfg = _write(tmp_path, _bound_doc(trials=10))
     assert main(["verify-bound", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "insufficient trials" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: bound config.trials must be >= 100.\n"
 
 
 def test_verify_bound_seed_override_changes_digest(tmp_path):

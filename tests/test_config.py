@@ -496,8 +496,8 @@ def test_bound_config_validation():
         parse_bound_config(dict(base, client_coefs=5))
     with pytest.raises(ConfigError, match="unknown keys"):
         parse_bound_config(dict(base, bogus=1))
-    with pytest.raises(ConfigError, match="insufficient trials"):
-        build_bound_trial_config(parse_bound_config(dict(base, trials=10)))
+    with pytest.raises(ConfigError, match=r"bound config\.trials must be >= 100\."):
+        parse_bound_config(dict(base, trials=10))
     ident = parse_bound_config(dict(base, identities={"num_sampled": [1, 2]}))
     assert ident["identities"] == {"num_sampled": [1, 2], "draws": 100000}
     with pytest.raises(ConfigError, match="num_sampled"):
@@ -722,7 +722,7 @@ def _bound_docs(draw):
         "n_per_client": draw(st.integers(2, 50)),
         "dim": dim,
         "l2": draw(_pos),
-        "trials": draw(st.integers(1, 100)),
+        "trials": draw(st.integers(MIN_TRIALS, 200)),
         "seed": draw(st.integers(0, 99)),
         **draw(_linear_law(dim, clients)),
     }

@@ -154,7 +154,7 @@ def test_scaffold_control_update_telescopes_to_mean_gradient():
         local_sgd_step(model, c, X, y, eta=eta)
     scaffold_control_update(
         control, snapshot, c.params.values, 0, np.zeros(lay.total_params), eta, tau,
-        lay.role_slices(None),
+        tuple(b.slice for b in lay.blocks),
     )
     want = np.mean(np.stack(grads), axis=0)
     assert np.allclose(control, want, rtol=1e-12, atol=1e-14)
@@ -165,12 +165,11 @@ def test_scaffold_control_update_no_drift_resets_to_zero():
     theta = np.array([1.0, -1.0])
     c_val = np.array([0.4, -0.2])
     control = c_val.copy()
-    scaffold_control_update(control, theta.copy(), theta, 0, c_val, 0.1, 3, lay.role_slices(None))
+    every = tuple(b.slice for b in lay.blocks)
+    scaffold_control_update(control, theta.copy(), theta, 0, c_val, 0.1, 3, every)
     assert np.array_equal(control, [0.0, 0.0])
     with pytest.raises(DivergenceError, match=r"^client 3 control variate went non-finite\.$"):
-        scaffold_control_update(
-            control, theta, theta, 3, np.array([np.inf, 0.0]), 0.1, 3, lay.role_slices(None)
-        )
+        scaffold_control_update(control, theta, theta, 3, np.array([np.inf, 0.0]), 0.1, 3, every)
 
 
 def test_scaffold_control_sum_identity():
@@ -182,10 +181,9 @@ def test_scaffold_control_sum_identity():
     c_bar = np.mean(control, axis=0)
     eta, period = 0.2, 6
     drift = np.sum((snapshot - theta) / (eta * period), axis=0)
+    every = tuple(b.slice for b in lay.blocks)
     for k in range(4):
-        scaffold_control_update(
-            control[k], snapshot[k], theta[k], k, c_bar, eta, period, lay.role_slices(None)
-        )
+        scaffold_control_update(control[k], snapshot[k], theta[k], k, c_bar, eta, period, every)
     assert np.allclose(control.sum(axis=0), drift, rtol=1e-10, atol=1e-12)
 
 

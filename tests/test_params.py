@@ -45,7 +45,7 @@ def test_layout_lookup_and_sizes():
     assert lay.total_params == 5
     assert lay.role_size(Role.HEAD) == 2
     assert lay.role_slices(Role.REPRESENTATION) == (slice(0, 3),)
-    assert lay.role_slices(None) == (slice(0, 3), slice(3, 5))
+    assert lay.role_slices(Role.HEAD) == (slice(3, 5),)
 
 
 def test_param_vector_rejects_non_finite_and_bad_shape():

@@ -8,6 +8,7 @@ the run, however the run ends.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -362,3 +363,67 @@ def test_a_killed_run_leaves_no_process_in_its_group(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(pgid, signal.SIGKILL)
         proc.wait(timeout=10)
+
+
+@needs_proc_children
+def test_ctrl_c_stops_a_run_and_its_helper_quietly(tmp_path):
+    if not cli._can_overlap_risks():
+        pytest.skip("run forks its helper only with 2 or more usable CPUs")
+    doc = _golden_doc()
+    doc["schedule"]["rounds"] = 10**6  # runs until it is interrupted
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fedsim.cli", "run", str(path), "--out", str(tmp_path / "out")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+        # a shell starts background jobs with SIGINT ignored; a terminal's run has the default
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    pgid = proc.pid
+    try:
+        deadline = time.monotonic() + 60
+        while not _children(proc.pid):
+            assert proc.poll() is None and time.monotonic() < deadline, "no helper was forked"
+            time.sleep(0.05)
+        os.killpg(pgid, signal.SIGINT)  # as a terminal's Ctrl-C does
+        err = proc.communicate(timeout=30)[1].decode()
+        lines = err.splitlines()
+        assert proc.returncode == -signal.SIGINT
+        assert err.count("Traceback") == 1 and lines[-1] == "KeyboardInterrupt"
+        assert not any(line.startswith("Process ") for line in lines)
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the interrupted run is still there"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(pgid, signal.SIGKILL)
+        proc.communicate(timeout=10)
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+
+
+def _no_fork():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@needs_proc_fd
+@pytest.mark.parametrize("platform", ["fork fails", "no fork"])
+def test_a_fork_that_fails_leaves_the_run_inline(tmp_path, monkeypatch, platform):
+    inline = _run(_golden_doc(), str(tmp_path / "inline"), False)
+    assert inline[0] == 0
+    if platform == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _no_fork)
+    before = len(os.listdir("/proc/self/fd"))
+    assert _run(_golden_doc(), str(tmp_path / "overlap"), True) == inline
+    assert len(os.listdir("/proc/self/fd")) == before
