@@ -3,16 +3,17 @@
 One loop covers all four algorithms. Head blocks synchronize every tau local
 steps and representation blocks every alpha*tau; the averaging-period
 algorithms pin alpha to 1 so that every block syncs each round, and the
-control-variate algorithms add a drift correction to each local step. The
-loop is lockstep: the K clients' parameters and controls are rows of (K, P)
-matrices, the sync snapshot they share is one (P,) row, and one stacked
-loss_and_grad call advances every client by a local step, bit for bit as K
-single-client steps would. G runs of one config, such as a sweep point's
-seeds, can share the loop as row blocks of (G*K, P) matrices, with a (G, P)
-snapshot. Every random draw comes from a stream keyed by (seed, purpose,
-client, round), so results do not depend on evaluation order, stack or
-worker count. The sync-time risks may be computed in a forked helper
-process while training goes on; the records come out the same either way.
+control-variate algorithms add a drift correction to each local step. The loop
+is lockstep: the K clients' parameters and controls are rows of (K, P)
+matrices, the server row holds each block as broadcast at its role's last
+sync, and one stacked loss_and_grad call advances every client by a local
+step, bit for bit as K single-client steps would. G runs of one config, such
+as a sweep point's seeds, can share the loop as row blocks of (G*K, P)
+matrices, with a (G, P) server row. Every random draw comes from a stream
+keyed by (seed, purpose, client, round), so results do not depend on
+evaluation order, stack or worker count. The sync-time risks may be computed
+in a forked helper process while training goes on; the records come out the
+same either way.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def local_sgd_step(
 
 def scaffold_control_update(
     control: np.ndarray,
-    snapshot: np.ndarray,
+    server: np.ndarray,
     params: np.ndarray,
     client: int,
     c_bar: np.ndarray,
@@ -253,15 +254,15 @@ def scaffold_control_update(
 ) -> None:
     """Refresh one client's control variate row in place, on the given blocks.
 
-    c_k <- c_k - c_bar + (snapshot - params) / (eta * period), where the
-    snapshot row holds the values broadcast at this role's previous sync and
+    c_k <- c_k - c_bar + (server - params) / (eta * period), where the
+    server row holds the values broadcast at this role's previous sync and
     params the client's current row. c_bar must be the average of the
     pre-update variates (simultaneous update). client names the client in
     the divergence message.
     """
     scale = 1.0 / (eta * period)
     for sl in slices:
-        control[sl] += -c_bar[sl] + (snapshot[sl] - params[sl]) * scale
+        control[sl] += -c_bar[sl] + (server[sl] - params[sl]) * scale
     if not np.all(np.isfinite(control)):
         raise DivergenceError(f"client {client} control variate went non-finite.")
 
@@ -301,20 +302,16 @@ class RunResult:
     steps: int
 
 
-def _uniform_average(theta: np.ndarray, layout: BlockLayout) -> ParamVector:
-    return ParamVector(weighted_average(theta, client_weights(None, theta.shape[0])), layout)
-
-
-def _sync_risks(model: ModelSpec, avg: ParamVector, run: RunSpec, weights, per_client_risks: bool):
-    """(train, test, gap, per-client risks) of a sync's averaged model on one run's data."""
+def _sync_risks(model: ModelSpec, row: ParamVector, run: RunSpec, weights, per_client_risks: bool):
+    """(train, test, gap, per-client risks) of a sync's server row on one run's data."""
     if per_client_risks:  # each shard once, combined as empirical_risk combines them
-        pcr = shard_risks(model, avg, run.shards)
+        pcr = shard_risks(model, row, run.shards)
         train = float(weighted_average(pcr, weights))
     else:
-        pcr, train = None, empirical_risk(model, avg, run.shards, weights)
+        pcr, train = None, empirical_risk(model, row, run.shards, weights)
     test = gap = None
     if run.pop_source is not None:
-        test = population_risk_estimate(model, avg, run.pop_source, weights)
+        test = population_risk_estimate(model, row, run.pop_source, weights)
         gap = test - train
     return train, test, gap, pcr
 
@@ -348,7 +345,7 @@ class _RecordQueue:
     goes on, and the records made meanwhile wait behind that sync's, so
     on_record sees the order it would see inline. The helper shares the
     parent's memory as it was at the fork, so a request is just the run index
-    and the averaged parameter vector. At most one request is in flight: a
+    and a copy of its server row. At most one request is in flight: a
     sync first collects the one before it. A sync whose risks the helper did
     not give back is computed inline. When the fork fails (or the platform
     has no os.fork) or the helper dies, the pipe is closed and every later
@@ -542,9 +539,9 @@ def run_experiment(
 ) -> RunResult:
     """Run one federated experiment and return its models, records and traffic.
 
-    The returned final model is the uniform average of the client states; when
-    the last step synced every role (rounds*tau divisible by alpha*tau) this
-    equals the last broadcast bit for bit. pop_source feeds the test risk
+    The returned final model is the server row, which the sync records
+    evaluate too: each block as broadcast at its role's last sync, or as
+    initialized if its role never synced. pop_source feeds the test risk
     through population_risk_estimate: a GaussianLinear spec with a ridge model
     (exact closed form) or a Shards of held-out samples. This is the one-run
     stack of run_experiments, which takes the options.
@@ -622,11 +619,10 @@ def run_experiments(
     blocks = [slice(g * num_clients, (g + 1) * num_clients) for g in range(num_runs)]
     inits = [init_params(model, layout, streams.substream(run.seed, streams.INIT)) for run in runs]
     theta = np.repeat(np.stack([v.values for v in inits]), num_clients, axis=0)
+    # one server row per run: a sync broadcasts one value to every client of the run
+    server = np.stack([v.values for v in inits])
     if live_control:
         control = np.zeros_like(theta)
-        # a sync broadcasts one value to every client of a run, so the snapshot
-        # is one row per run
-        snapshot = np.stack([v.values for v in inits])
         c_bar = np.zeros((num_runs, p))
 
     comms = [CommCounter.zeros(num_clients) for _ in runs]
@@ -697,16 +693,15 @@ def run_experiments(
                                 old_bar = c_bar[g].copy()
                                 for k, row in enumerate(control[rows]):
                                     scaffold_control_update(
-                                        row, snapshot[g], th[k], k, old_bar, eta, period, slices
+                                        row, server[g], th[k], k, old_bar, eta, period, slices
                                     )
                                 for sl in slices:
                                     # a contiguous copy reduces exactly as a stack of the rows
                                     block = np.ascontiguousarray(control[rows, sl])
                                     c_bar[g, sl] = np.mean(block, axis=0)
                             size = aggregate(th, layout, role, participants, agg_w)
-                            if live_control:
-                                for sl in slices:
-                                    snapshot[g, sl] = th[0, sl]
+                            for sl in slices:
+                                server[g, sl] = th[0, sl]
                             comms[g].record_sync(size, participants)
 
                     if emit:
@@ -722,12 +717,13 @@ def run_experiments(
                         records[g].append(rec)
                         request = None
                         if roles_due and risk_every_sync:
-                            request = (g, _uniform_average(th, layout).values)
+                            # a copy: a lost reply is computed after the next sync
+                            request = (g, server[g].copy())
                         queue.add(run.on_record, rec, request)
 
     return [
         RunResult(
-            final_params=_uniform_average(theta[rows], layout),
+            final_params=ParamVector(server[g].copy(), layout),
             client_params=[ParamVector(row, layout) for row in theta[rows]],
             records=records[g],
             comm=comms[g],

@@ -21,7 +21,7 @@ from fedsim.engine import (
     sample_participants,
     scaffold_control_update,
 )
-from fedsim.metrics import consensus_map
+from fedsim.metrics import consensus_map, empirical_risk
 from fedsim.models import MlpSpec, RidgeSpec, build_layout, init_params, loss_and_grad
 from fedsim.params import ParamVector, Role, layout_from_sizes
 
@@ -383,6 +383,46 @@ def test_head_only_sync_leaves_representation_drift():
     final_rec = run.records[-1]
     assert final_rec.step == 9
     assert final_rec.consensus["layer0"] == post["layer0"]
+
+
+def _fedals_server_run(algorithm, rounds):
+    model, shards = _mlp_task()
+    sched = ScheduleSpec(tau=2, eta=0.05, rounds=rounds, batch_size=5, alpha=3)
+    weights = [0.5, 0.3, 0.2]
+    run = run_experiment(
+        algorithm, model, shards, sched, seed=12, representation_layers=1, weights=weights
+    )
+    return model, shards, weights, run
+
+
+@pytest.mark.parametrize("algorithm", ["fedals", "fedals_scaffold"])
+def test_final_model_holds_each_block_as_last_broadcast(algorithm):
+    # R = 7, alpha = 3: the representation last synced at round 6, where R = 6 ends
+    *_, run = _fedals_server_run(algorithm, 7)
+    *_, at_six = _fedals_server_run(algorithm, 6)
+    final = run.final_params.values
+    for sl in run.layout.role_slices(Role.REPRESENTATION):
+        assert np.array_equal(final[sl], at_six.final_params.values[sl])
+    for sl in run.layout.role_slices(Role.HEAD):
+        for client in run.client_params:
+            assert np.array_equal(final[sl], client.values[sl])
+
+
+@pytest.mark.parametrize("algorithm", ["fedals", "fedals_scaffold"])
+def test_final_model_keeps_the_initial_representation_before_its_first_sync(algorithm):
+    model, _, _, run = _fedals_server_run(algorithm, 2)  # R < alpha
+    init = init_params(model, run.layout, streams.substream(12, streams.INIT)).values
+    for sl in run.layout.role_slices(Role.REPRESENTATION):
+        assert np.array_equal(run.final_params.values[sl], init[sl])
+
+
+@pytest.mark.parametrize("algorithm", ["fedals", "fedals_scaffold"])
+def test_last_record_evaluates_the_final_model(algorithm):
+    # the last step always syncs the head, so its record reads the final server row
+    model, shards, weights, run = _fedals_server_run(algorithm, 7)
+    want = empirical_risk(model, run.final_params, shards, weights)
+    assert run.records[-1].step == run.steps
+    assert run.records[-1].train_risk == want
 
 
 def test_engine_validation_errors():

@@ -5,9 +5,12 @@ one role sync at a time, with each weighted sum written out. It shares only
 the model's loss_and_grad and the random streams with the engine: each
 round's batches come from draw_round_batches on the (seed, BATCH, k, r)
 stream, and the participants of a round's sync from sample_participants on
-the (seed, PARTICIPATION, r) stream. The engine's lockstep run must agree on
-the final client rows and final model within a relative tolerance, since the
-sums run in another order, and on the communication counts exactly.
+the (seed, PARTICIPATION, r) stream. The oracle's server holds each block as
+broadcast at its role's last sync; that row is the final model, and the
+model each sync record evaluates. The engine's lockstep run must agree on
+the final client rows, the final model and every sync record's train risk
+within a relative tolerance, since the sums run in another order, and on the
+communication counts exactly.
 
 FedALS needs a representation and a head block, so its configs use a
 one-hidden-layer MLP; the averaging-period algorithms use ridge. SCAFFOLD is
@@ -30,12 +33,13 @@ from fedsim.engine import (
     run_experiment,
     sample_participants,
 )
+from fedsim.metrics import empirical_risk
 from fedsim.models import MlpSpec, RidgeSpec, build_layout, init_params, loss_and_grad
 from fedsim.params import ParamVector, Role
 
 
 def _oracle(algorithm, model, shards, schedule, seed, weights, participation, split):
-    """(final model, client rows, uploaded, downloaded) of one run, read loop by loop."""
+    """(server row, client rows, uploaded, downloaded, {sync step: server row}) of one run."""
     layout = build_layout(model, split)
     num_clients, eta = len(shards), schedule.eta
     start = init_params(model, layout, streams.substream(seed, streams.INIT)).values
@@ -45,6 +49,7 @@ def _oracle(algorithm, model, shards, schedule, seed, weights, participation, sp
     c_bar = np.zeros_like(start)  # the server's control variate
     server = start.copy()  # each role's blocks as broadcast at its last sync
     uploaded, downloaded = [0] * num_clients, [0] * num_clients
+    synced = {}  # the server row after each sync step
     step = 0
     for r in range(1, schedule.rounds + 1):
         batches = [
@@ -98,10 +103,8 @@ def _oracle(algorithm, model, shards, schedule, seed, weights, participation, sp
                     uploaded[k] += size
                 for k in range(num_clients):
                     downloaded[k] += size
-    final = np.zeros_like(start)
-    for row in clients:
-        final = final + row
-    return final / num_clients, clients, uploaded, downloaded
+            synced[step] = server.copy()
+    return server, clients, uploaded, downloaded, synced
 
 
 MODES = ("full", "with_replacement", "without_replacement")
@@ -152,7 +155,7 @@ def _cases(draw, algorithm, mode):
 @given(data=st.data())
 def test_engine_matches_a_plain_loop_oracle(algorithm, mode, data):
     case = data.draw(_cases(algorithm, mode))
-    final, clients, uploaded, downloaded = _oracle(
+    final, clients, uploaded, downloaded, synced = _oracle(
         case["algorithm"], case["model"], case["shards"], case["schedule"], case["seed"],
         case["weights"], case["participation"], case["split"],
     )
@@ -166,3 +169,10 @@ def test_engine_matches_a_plain_loop_oracle(algorithm, mode, data):
         np.testing.assert_allclose(got.values, want, rtol=1e-9, atol=1e-12)
     assert result.comm.uploaded.tolist() == uploaded
     assert result.comm.downloaded.tolist() == downloaded
+    risks = {rec.step: rec.train_risk for rec in result.records if rec.train_risk is not None}
+    assert sorted(risks) == sorted(synced)
+    for step, row in synced.items():
+        want = empirical_risk(
+            case["model"], ParamVector(row, result.layout), case["shards"], case["weights"]
+        )
+        np.testing.assert_allclose(risks[step], want, rtol=1e-9, atol=1e-12)
