@@ -344,14 +344,15 @@ def _mlp_eval(model, theta, X, y, need_grad, mm=np.matmul):
     logits = pre[-1]
     zmax = logits.max(axis=2, keepdims=True)
     probs = np.exp(logits - zmax)
-    lse = zmax[:, :, 0] + np.log(probs.sum(axis=2))
+    total = probs.sum(axis=2, keepdims=True)
+    lse = zmax[:, :, 0] + np.log(total[:, :, 0])
     data = lse - logits[picked]
     if not need_grad:
         return data, None
 
     grad = np.zeros_like(theta)
     gviews = _mlp_views(model, grad)
-    probs /= probs.sum(axis=2, keepdims=True)
+    probs /= total
     delta = probs
     delta[picked] -= 1.0
     delta /= n

@@ -358,6 +358,11 @@ def test_parse_grid():
         parse_grid("gamma=1")
     with pytest.raises(ConfigError, match="twice"):
         parse_grid("tau=1;tau=2")
+    # a repeated value would train its point twice and write two equal rows
+    with pytest.raises(ConfigError, match=r"^grid value 1 for 'alpha' given twice\.$"):
+        parse_grid("alpha=1,2,1")
+    with pytest.raises(ConfigError, match=r"^grid value 0\.1 for 'eta' given twice\.$"):
+        parse_grid("eta=0.1,0.10")
     with pytest.raises(ConfigError, match="empty grid"):
         parse_grid(" ; ")
     with pytest.raises(ConfigError, match="not a number"):
@@ -491,6 +496,14 @@ def test_sweep_rejects_invalid_grid_point(tmp_path):
     assert main(["sweep", cfg, "--grid", "alpha=1,5", "--out", str(tmp_path / "o")]) == 1
 
 
+def test_sweep_rejects_a_repeated_grid_value_before_any_output(tmp_path, capsys):
+    cfg = _write(tmp_path, _mlp_doc())
+    out = tmp_path / "o"
+    assert main(["sweep", cfg, "--grid", "alpha=1,1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: grid value 1 for 'alpha' given twice.\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc, message", DATA_RULE_CASES)
 @pytest.mark.parametrize("argv", [["run"], ["sweep", "1"], ["sweep", "2"]], ids="-".join)
 def test_a_data_rule_fails_at_validation_naming_its_key(
@@ -597,12 +610,14 @@ def test_a_data_set_up_error_names_the_point_and_seed(tmp_path, capsys, monkeypa
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+    """Stands in for ProcessPoolExecutor: records its size and initializer, maps in process."""
 
     sizes: list = []
+    initializers: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer):
         self.sizes.append(max_workers)
+        self.initializers.append(initializer)
 
     def __enter__(self):
         return self
@@ -623,11 +638,14 @@ def test_sweep_pool_starts_no_more_workers_than_points(tmp_path, monkeypatch, wo
     from fedsim import cli
 
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(_RecordingPool, "initializers", [])
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setenv("FEDSIM_WORKERS", workers)
     cfg = _write(tmp_path, _ridge_doc())
     assert main(["sweep", cfg, "--grid", grid, "--out", str(tmp_path / "o")]) == 0
     assert _RecordingPool.sizes == pool
+    # every worker keeps freed memory mapped, whatever the pool's start method
+    assert _RecordingPool.initializers == [cli._keep_freed_memory] * len(pool)
 
 
 @pytest.mark.parametrize("value", ["abc", "2.0", ""])
