@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -84,29 +85,19 @@ def test_a_repeated_sweep_faults_no_heap_pages_back_in(tmp_path):
     assert second < 500, (first, second)
 
 
-class _Libc:
-    """Stands in for ctypes.CDLL(None): its mallopt records each call."""
-
-    def __init__(self, name):
-        assert name is None
-        self.calls = []
-
-        def mallopt(param, value):
-            self.calls.append((param, value))
-            return 1
-
-        self.mallopt = mallopt
-        _Libc.last = self
-
-
 def test_glibc_gets_both_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
     monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36", raising=False)
-    monkeypatch.setattr(cli.ctypes, "CDLL", _Libc)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
     assert cli._keep_freed_memory() is None
-    mallopt = _Libc.last.mallopt
     assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
     # M_MMAP_THRESHOLD to 1 MiB, then M_TRIM_THRESHOLD to 8 MiB
-    assert _Libc.last.calls == [(-3, 1 << 20), (-1, 8 << 20)]
+    assert calls == [(-3, 1 << 20), (-1, 8 << 20)]
 
 
 def test_a_c_library_that_is_not_glibc_is_left_alone(monkeypatch):
@@ -122,13 +113,6 @@ def test_a_c_library_that_is_not_glibc_is_left_alone(monkeypatch):
 
 
 def test_a_c_library_without_mallopt_is_left_alone(monkeypatch):
-    class NoMallopt:
-        def __init__(self, name):
-            pass
-
-        def __getattr__(self, name):
-            raise AttributeError(f"undefined symbol: {name}")
-
     monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36", raising=False)
-    monkeypatch.setattr(cli.ctypes, "CDLL", NoMallopt)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
     assert cli._keep_freed_memory() is None
