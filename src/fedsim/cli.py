@@ -245,24 +245,25 @@ def _sweep_point(cfg) -> list[dict]:
     failing point exits as its first failing seed alone does, with the point
     and seed in the message.
     """
-    if len(cfg.seeds) > 1:
-        try:
-            return _seed_stack(cfg, cfg.seeds)
-        except Exception:
-            # the one-seed stacks below raise the error to report, or recover
-            # from one that only the whole stack met, such as a larger
-            # allocation failing
-            pass
-    finals = []
-    for seed in cfg.seeds:
-        point = f"{_point_label(vars(cfg.schedule))} seed={seed}"
-        try:
-            finals += _seed_stack(cfg, [seed])
-        except DivergenceError as exc:
-            raise DivergenceError(f"{point}: {exc}", exc.client) from exc
-        except ValueError as exc:  # a set-up check on the data: shard size or labels; still exit 1
-            raise ValueError(f"{point}: {exc}") from exc
-    return finals
+    with np.errstate(all="ignore"):  # as main sets it: a spawned worker does not inherit it
+        if len(cfg.seeds) > 1:
+            try:
+                return _seed_stack(cfg, cfg.seeds)
+            except Exception:
+                # the one-seed stacks below raise the error to report, or recover
+                # from one that only the whole stack met, such as a larger
+                # allocation failing
+                pass
+        finals = []
+        for seed in cfg.seeds:
+            point = f"{_point_label(vars(cfg.schedule))} seed={seed}"
+            try:
+                finals += _seed_stack(cfg, [seed])
+            except DivergenceError as exc:
+                raise DivergenceError(f"{point}: {exc}", exc.client) from exc
+            except ValueError as exc:  # a set-up check on the data: shard size or labels; exit 1
+                raise ValueError(f"{point}: {exc}") from exc
+        return finals
 
 
 def _mean_std(values) -> tuple[float | None, float | None]:
@@ -287,6 +288,8 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     base_seeds = [args.seed] if args.seed is not None else cfg.seeds
     axes = parse_grid(args.grid)
+    if args.seed is not None and any(key == "seed" for key, _ in axes):
+        raise ConfigError("--seed cannot be combined with a grid seed axis.")
     out_dir = args.out if args.out is not None else cfg.output
     os.makedirs(out_dir, exist_ok=True)
 
@@ -483,7 +486,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:  # every command takes --seed
             raise ConfigError("--seed must be >= 0.")
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the check that meets a blow-up reports it
+            return args.func(args)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,7 @@ from .metrics import (
 from .models import ModelSpec, build_layout, check_labels, init_params, loss_and_grad
 from .params import (
     BlockLayout,
+    DivergenceError,
     ParamVector,
     Role,
     client_weights,
@@ -55,17 +56,6 @@ PERIOD_ALGORITHMS = ("fedavg", "scaffold")  # alpha pinned to 1
 
 DIVERGENCE_LIMIT = 1e12
 MAX_SAMPLED = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize  # numpy's largest draw
-
-
-class DivergenceError(RuntimeError):
-    """Training blew up: a client loss exceeded the guard or went non-finite.
-
-    client is the index of the client that failed, when one did.
-    """
-
-    def __init__(self, message: str, client: int | None = None):
-        super().__init__(message)
-        self.client = client
 
 
 @dataclass(frozen=True)
@@ -601,14 +591,6 @@ def run_experiments(
         participation=participation, pin_control=pin_control,
     )
     w = client_weights(weights, num_clients)
-    if not batches_with_replacement:
-        for run in runs:
-            smallest = min(s.n for s in run.shards)
-            if schedule.tau * schedule.batch_size > smallest:
-                raise ValueError(
-                    f"tau*batch_size = {schedule.tau * schedule.batch_size} exceeds the smallest "
-                    f"shard ({smallest}): config violates the without-replacement sampling model."
-                )
     live_control = algorithm in CONTROL_ALGORITHMS and not pin_control
     for run in runs:
         check_labels(model, run.shards.y)

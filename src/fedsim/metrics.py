@@ -8,6 +8,7 @@ sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from .models import (
     predict,
     sample_losses,
 )
-from .params import BlockLayout, ParamVector, client_weights, weighted_average
+from .params import BlockLayout, DivergenceError, ParamVector, client_weights, weighted_average
 
 
 @dataclass
@@ -51,7 +52,7 @@ def shard_risks(model: ModelSpec, params: ParamVector, shards: Shards) -> list[f
     """Mean loss of params on each shard, as batch_loss per shard would give it."""
     values = batch_loss(model, params, shards.X, shards.y, segments=shards.sizes)
     if not np.all(np.isfinite(values)):
-        raise ValueError("loss is non-finite.")
+        raise DivergenceError("shard risk is non-finite.")
     return [float(v) for v in values]
 
 
@@ -86,14 +87,16 @@ def population_risk_estimate(
             total += wk * population_risk_closed_form(
                 model, params, source.covariance, source.coef_for(k), source.noise_std
             )
-        return total
-    w = client_weights(weights, len(source.sizes), "holdout shard")
-    losses = sample_losses(model, params, source.X, source.y, segments=source.sizes)
-    total = 0.0
-    lo = 0
-    for wk, n in zip(w.tolist(), source.sizes):
-        total += wk * float(np.mean(losses[lo : lo + n]))
-        lo += n
+    else:
+        w = client_weights(weights, len(source.sizes), "holdout shard")
+        losses = sample_losses(model, params, source.X, source.y, segments=source.sizes)
+        total = 0.0
+        lo = 0
+        for wk, n in zip(w.tolist(), source.sizes):
+            total += wk * float(np.mean(losses[lo : lo + n]))
+            lo += n
+    if not math.isfinite(total):
+        raise DivergenceError("test risk is non-finite.")
     return total
 
 
@@ -112,6 +115,8 @@ def consensus_map(theta: np.ndarray, layout: BlockLayout) -> dict[str, float]:
     for b in layout.blocks:
         diff = theta[:, b.slice] - center[b.slice]
         out[b.name] = float(np.sum(diff * diff)) / theta.shape[0]
+        if not math.isfinite(out[b.name]):
+            raise DivergenceError(f"consensus distance of block {b.name!r} is non-finite.")
     return out
 
 

@@ -111,9 +111,17 @@ class ParamVector:
         return ParamVector(self.values.copy(), self.layout)
 
 
+class DivergenceError(RuntimeError, ValueError):  # a ValueError, as these checks raised before
+    """The run diverged: a computed number is not finite, or a client loss passed the guard."""
+
+    def __init__(self, message: str, client: int | None = None):
+        super().__init__(message)
+        self.client = client  # the index of the client that failed, when one did
+
+
 def _require_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries.")
+        raise DivergenceError(f"{what} contains non-finite entries.")
 
 
 def client_weights(weights: Sequence[float] | None, n: int, per: str = "client") -> np.ndarray:

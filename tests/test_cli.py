@@ -222,6 +222,76 @@ def test_divergence_exits_2_naming_round_step_and_client(tmp_path, capsys):
     assert "provenance" in rows[0] and len(rows) > 1
 
 
+def _blow_up_doc(case):
+    """A ridge run whose step size of 1e160 passes the step check but overflows elsewhere.
+
+    A: at a sync's consensus or risks; B, C: without sync risks; D: two
+    clients pulled apart by eta = 1e308; E, F: one client, whose consensus
+    stays 0, so a risk meets it.
+    """
+    doc = {
+        "algorithm": "fedavg",
+        "clients": 2,
+        "seed": 1,
+        "model": {"family": "ridge", "input_dim": 2, "l2": 0.0},
+        "data": {
+            "source": {"kind": "gaussian_linear", "dim": 2},
+            "partition": {"mode": "per_client"},
+            "n_per_client": 8,
+        },
+        "schedule": {"tau": 1, "eta": 1e160, "rounds": 3, "batch_size": 2},
+    }
+    if case in "BCDF":
+        doc["metrics"] = {"risks_at_sync": False}
+    if case in "BF":
+        doc["schedule"]["rounds"] = 1
+    if case in "EF":
+        doc["clients"] = 1
+    if case == "D":
+        doc["model"]["input_dim"] = 1
+        doc["data"]["source"] = {
+            "kind": "gaussian_linear", "dim": 1, "client_coefs": [[1.0], [-1.0]], "noise_std": 0.0
+        }
+        doc["data"]["n_per_client"] = 4
+        doc["schedule"].update(batch_size=1, rounds=1, eta=1e308)
+    return doc
+
+
+def _non_finite_tokens(out_dir) -> list:
+    """JSON's NaN and Infinity, and Python's nan and inf, in any file of out_dir."""
+    found = []
+    for name in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
+        text = (out_dir / name).read_text()
+        found += [(name, token) for token in re.findall(r"\b(NaN|Infinity|nan|inf)\b", text)]
+    return found
+
+
+@pytest.mark.parametrize("case", "ABCDEF")
+def test_a_blow_up_outside_the_step_check_exits_2_in_one_line(tmp_path, capsys, case):
+    # an aggregate, a server row, a risk or a consensus distance that overflows
+    # is a divergence as a step's loss is: exit 2, one stderr line, and no
+    # non-finite number in any file
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, _blow_up_doc(case)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: ") and err.count("\n") == 1, err
+    assert _non_finite_tokens(out) == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_point_that_blows_up_outside_the_step_check_exits_2(
+    tmp_path, capsys, monkeypatch, workers
+):
+    monkeypatch.setenv("FEDSIM_WORKERS", workers)
+    out = tmp_path / "o"
+    argv = ["sweep", _write(tmp_path, _blow_up_doc("A")), "--grid", "eta=1e160;seed=1,2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: alpha=1 tau=1 eta=1e+160 seed=1: "), err
+    assert err.count("\n") == 1, err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_invalid_labels_exit_1_not_2(tmp_path, capsys):
     # a file with labels 0/1 passes validation, but logistic_l2 needs -1/+1
     data = tmp_path / "binary.csv"
@@ -302,13 +372,13 @@ def test_a_step_size_whose_control_scale_overflows_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_shard_too_small_for_a_round_exits_1_without_metrics(tmp_path, capsys, seed):
     # a Dirichlet 0.1 split of 48 samples leaves some client fewer than
-    # tau * batch_size = 10; the engine rejects it before the first step
+    # tau * batch_size = 10; round 1's batch draw rejects it before the first step
     doc = _mlp_doc(clients=4, seed=seed)
     doc["data"]["partition"] = {"mode": "dirichlet", "concentration": 0.1}
     doc["schedule"]["batch_size"] = 5
     assert main(["run", _write(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: tau*batch_size = 10 exceeds the smallest shard"), err
+    assert err.startswith("config error: round needs tau*batch_size = 10 samples"), err
     assert err.count("\n") == 1, err
     assert not (tmp_path / "o" / "metrics.jsonl").exists()
 
@@ -504,6 +574,18 @@ def test_sweep_rejects_a_repeated_grid_value_before_any_output(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_sweep_rejects_a_seed_flag_with_a_grid_seed_axis_before_any_output(tmp_path, capsys):
+    # the axis would run its own seeds while the provenance line named the flag's
+    cfg = _write(tmp_path, _ridge_doc())
+    out = tmp_path / "o"
+    argv = ["sweep", cfg, "--grid", "seed=1,2", "--seed", "5", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "config error: --seed cannot be combined with a grid seed axis.\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc, message", DATA_RULE_CASES)
 @pytest.mark.parametrize("argv", [["run"], ["sweep", "1"], ["sweep", "2"]], ids="-".join)
 def test_a_data_rule_fails_at_validation_naming_its_key(
@@ -523,6 +605,19 @@ def test_a_data_rule_fails_at_validation_naming_its_key(
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert calls == []
     assert not out.exists() or os.listdir(out) == []
+
+
+def test_verify_bound_exits_2_when_the_average_of_finite_erms_overflows(tmp_path, capsys):
+    # small features and no noise give each client the ERM of its own +-1e308
+    # coefficient; their weighted average is not finite
+    doc = _bound_doc(
+        clients=2, dim=1, l2=1e-300, noise_std=0.0, covariance={"diagonal": [1e-4]},
+        client_coefs=[[1e308], [-1e308]],
+    )
+    out = tmp_path / "o"
+    assert main(["verify-bound", _write(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "divergence: weighted average contains non-finite entries.\n"
+    assert not (out / "bound_report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,17 @@ def test_seed_states_equal_numpys_seed_sequence(seed, paths):
         assert np.array_equal(ours.standard_normal(6), theirs.standard_normal(6))
 
 
+@pytest.mark.parametrize("seed", [2**128, 2**128 + 5, 2**200 + 12345, 2**300 - 1])
+def test_seed_words_past_the_pool_mix_in_as_numpy_mixes_them(seed):
+    # a seed of 2**128 or more has words past the 4-word pool, which SEEDS
+    # rarely draws: pin that branch on fixed seeds
+    paths = [[streams.BATCH, 0, 1], [streams.PARTICIPATION, 7], [streams.INIT]]
+    for path in paths:
+        state = streams.seed_states(seed, np.array([path], dtype=np.int64))[0]
+        want = np.random.SeedSequence(seed, spawn_key=tuple(path)).generate_state(4, np.uint64)
+        assert np.array_equal(state, want), (seed, path)
+
+
 def test_seed_states_keep_the_leading_shape_of_the_paths():
     rounds, clients = np.arange(1, 4), np.arange(5)
     paths = streams.stream_paths(streams.BATCH, clients, rounds[:, None])
