@@ -24,7 +24,7 @@ import numpy as np
 
 from . import models
 from . import rng as streams
-from .data import GaussianLinear
+from .data import GaussianLinear, require_finite_samples
 from .metrics import sample_losses
 from .models import (
     RidgeSpec,
@@ -34,7 +34,7 @@ from .models import (
     loss_and_grad,
     population_risk_closed_form,
 )
-from .params import ParamVector, client_weights, weighted_average
+from .params import ParamVector, client_weights, require_finite, weighted_average
 
 MIN_TRIALS = 100
 
@@ -87,7 +87,7 @@ class BoundReport:
     cross_term: float
     mu: float
     L: float
-    stderr_fraction: float
+    stderr_fraction: float | None  # None when rhs is 0
     max_erm_grad_norm: float
     trials: int
     num_clients: int
@@ -124,6 +124,7 @@ def one_round_fedavg_erm(
     for i in range(len(trials)):
         for k in range(k_clients):
             X[i, k], y[i, k] = gen_spec.sample(n, k, streams.from_state(states[i, k]))
+    require_finite_samples(X, y)  # labels of huge coefficients overflow: bad input, exit 1
     locals_ = erm_closed_form(model, X.reshape(-1, n, gen_spec.dim), y.reshape(-1, n))
     locals_ = locals_.reshape(len(trials), k_clients, gen_spec.dim)
     return X, y, locals_, weighted_average(locals_.swapaxes(0, 1), config.weights)
@@ -245,17 +246,16 @@ def verify_theorem1(config: BoundTrialConfig) -> BoundReport:
 
     mu = config.l2
     lhs, lhs_se = _mean_stderr(lhs_samples)
-    local_gen = []
-    non_iid = []
-    gap_means = np.empty(k_clients)
-    exc_means = np.empty(k_clients)
-    for k in range(k_clients):
-        gap_means[k], gap_se = _mean_stderr(local_gaps[:, k])
-        exc_means[k], exc_se = _mean_stderr(excesses[:, k])
-        local_gen.append({"client": k, "mean": float(gap_means[k]), "stderr": gap_se})
-        non_iid.append({"client": k, "mean": float(exc_means[k]), "stderr": exc_se})
-    rhs, first_term, cross_term = theorem1_rhs(w, l_max, mu, gap_means, exc_means)
+    gaps = [_mean_stderr(local_gaps[:, k]) for k in range(k_clients)]
+    excs = [_mean_stderr(excesses[:, k]) for k in range(k_clients)]
+    rhs, first_term, cross_term = theorem1_rhs(
+        w, l_max, mu, [m for m, _ in gaps], [m for m, _ in excs]
+    )
     slack = rhs - lhs
+    fraction = None if rhs == 0.0 else lhs_se / rhs  # undefined for a zero bound
+    numbers = [lhs, lhs_se, rhs, slack, first_term, cross_term, l_max, worst_grad, fraction]
+    numbers += [x for pair in gaps + excs for x in pair]
+    require_finite([x for x in numbers if x is not None], "bound report")
     return BoundReport(
         passed=bool(slack >= -3.0 * lhs_se),
         lhs=lhs,
@@ -266,7 +266,7 @@ def verify_theorem1(config: BoundTrialConfig) -> BoundReport:
         cross_term=cross_term,
         mu=mu,
         L=l_max,
-        stderr_fraction=lhs_se / rhs if rhs != 0.0 else float("inf"),
+        stderr_fraction=fraction,
         max_erm_grad_norm=worst_grad,
         trials=config.trials,
         num_clients=k_clients,
@@ -274,8 +274,8 @@ def verify_theorem1(config: BoundTrialConfig) -> BoundReport:
         l2=config.l2,
         seed=config.seed,
         weights=[float(x) for x in w],
-        local_gen=local_gen,
-        non_iid=non_iid,
+        local_gen=[{"client": k, "mean": m, "stderr": se} for k, (m, se) in enumerate(gaps)],
+        non_iid=[{"client": k, "mean": m, "stderr": se} for k, (m, se) in enumerate(excs)],
     )
 
 

@@ -34,9 +34,10 @@ from .config import (
     load_bound_config,
     load_config,
 )
-from .engine import DivergenceError, RunSpec, comm_closed_form, run_experiment, run_experiments
+from .engine import RunSpec, comm_closed_form, run_experiment, run_experiments
 from .metrics import accuracy, consensus_map, empirical_risk, population_risk_estimate
 from .models import RidgeSpec
+from .params import DivergenceError, require_finite
 
 WORKERS_ENV = "FEDSIM_WORKERS"
 
@@ -170,6 +171,7 @@ def cmd_run(args) -> int:
 
 
 GRID_KEYS = ("alpha", "tau", "eta", "seed")
+SWEEP_STATS = ("final_train_risk", "final_test_risk", "accuracy")  # a mean and a std column each
 
 
 def _is_number(text: str) -> bool:
@@ -313,33 +315,24 @@ def cmd_sweep(args) -> int:
     else:
         results = [_sweep_point(p) for p in points]
 
-    sweep_path = os.path.join(out_dir, "sweep.csv")
-    prov = _provenance(cfg.digest(), base_seeds[0])
-    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv_writer(fh, prov)
-        writer.writerow(
-            [
-                "alpha", "tau", "eta", "seeds", "n_seeds",
-                "final_train_risk_mean", "final_train_risk_std",
-                "final_test_risk_mean", "final_test_risk_std",
-                "accuracy_mean", "accuracy_std",
-                "comm_per_client_per_direction", "steps",
-            ]
+    # the whole table is built, each row checked, before sweep.csv is opened
+    header = ["alpha", "tau", "eta", "seeds", "n_seeds"]
+    header += [f"{key}_{part}" for key in SWEEP_STATS for part in ("mean", "std")]
+    table = [header + ["comm_per_client_per_direction", "steps"]]
+    for point, finals in zip(points, results):
+        sched = point.schedule
+        stats = [v for key in SWEEP_STATS for v in _mean_std([f[key] for f in finals])]
+        label = _point_label(vars(sched))
+        require_finite([v for v in stats if v is not None], f"{label}: sweep row")
+        seeds = ";".join(str(s) for s in point.seeds)
+        table.append(
+            [sched.alpha, sched.tau, repr(sched.eta), seeds, len(point.seeds), *map(_cell, stats),
+             comm_closed_form(sched, point.layout), sched.total_steps]
         )
-        for point, finals in zip(points, results):
-            sched = point.schedule
-            tr_m, tr_s = _mean_std([f["final_train_risk"] for f in finals])
-            te_m, te_s = _mean_std([f["final_test_risk"] for f in finals])
-            ac_m, ac_s = _mean_std([f["accuracy"] for f in finals])
-            writer.writerow(
-                [
-                    sched.alpha, sched.tau, repr(sched.eta),
-                    ";".join(str(s) for s in point.seeds), len(point.seeds),
-                    _cell(tr_m), _cell(tr_s), _cell(te_m), _cell(te_s),
-                    _cell(ac_m), _cell(ac_s),
-                    comm_closed_form(sched, point.layout), sched.total_steps,
-                ]
-            )
+
+    sweep_path = os.path.join(out_dir, "sweep.csv")
+    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
+        _csv_writer(fh, _provenance(cfg.digest(), base_seeds[0])).writerows(table)
     print(f"wrote {sweep_path}")
     return 0
 
@@ -437,8 +430,15 @@ def cmd_consensus_trace(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors (exit 1), here and in the subparsers this class builds."""
+
+    def error(self, message):
+        raise ConfigError(f"{message}.")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="fedsim",
         description="Deterministic federated-learning simulator and verification lab.",
     )
@@ -481,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _keep_freed_memory()
     try:
+        args = build_parser().parse_args(argv)
+        _keep_freed_memory()
         if args.seed is not None and args.seed < 0:  # every command takes --seed
             raise ConfigError("--seed must be >= 0.")
         with np.errstate(all="ignore"):  # the check that meets a blow-up reports it

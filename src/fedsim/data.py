@@ -115,6 +115,14 @@ class GaussianClusters:
 GeneratorSpec = GaussianLinear | GaussianClusters
 
 
+def require_finite_samples(X: np.ndarray, y: np.ndarray) -> None:
+    """Reject samples with a non-finite feature or label: bad input, a ValueError (exit 1)."""
+    if not np.all(np.isfinite(X)):
+        raise ValueError("shard features contain non-finite entries.")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("shard labels contain non-finite entries.")
+
+
 @dataclass(eq=False)
 class DatasetShard:
     """One client's samples. Never empty."""
@@ -129,10 +137,7 @@ class DatasetShard:
         self.y = np.asarray(self.y)
         if self.y.shape != (self.X.shape[0],):
             raise ValueError("shard labels must match the sample count.")
-        if not np.all(np.isfinite(self.X)):
-            raise ValueError("shard features contain non-finite entries.")
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("shard labels contain non-finite entries.")
+        require_finite_samples(self.X, self.y)
 
     @property
     def n(self) -> int:

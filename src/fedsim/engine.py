@@ -45,6 +45,7 @@ from .params import (
     ParamVector,
     Role,
     client_weights,
+    require_finite,
     weight_total,
     weighted_average,
     weighted_sum,
@@ -253,8 +254,7 @@ def scaffold_control_update(
     scale = 1.0 / (eta * period)
     for sl in slices:
         control[sl] += -c_bar[sl] + (server[sl] - params[sl]) * scale
-    if not np.all(np.isfinite(control)):
-        raise DivergenceError(f"client {client} control variate went non-finite.")
+    require_finite(control, f"client {client} control variate")
 
 
 def aggregate(

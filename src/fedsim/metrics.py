@@ -8,7 +8,6 @@ sample.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +22,7 @@ from .models import (
     predict,
     sample_losses,
 )
-from .params import BlockLayout, DivergenceError, ParamVector, client_weights, weighted_average
+from .params import BlockLayout, ParamVector, client_weights, require_finite, weighted_average
 
 
 @dataclass
@@ -51,8 +50,7 @@ class MetricsRecord:
 def shard_risks(model: ModelSpec, params: ParamVector, shards: Shards) -> list[float]:
     """Mean loss of params on each shard, as batch_loss per shard would give it."""
     values = batch_loss(model, params, shards.X, shards.y, segments=shards.sizes)
-    if not np.all(np.isfinite(values)):
-        raise DivergenceError("shard risk is non-finite.")
+    require_finite(values, "shard risk")
     return [float(v) for v in values]
 
 
@@ -95,8 +93,7 @@ def population_risk_estimate(
         for wk, n in zip(w.tolist(), source.sizes):
             total += wk * float(np.mean(losses[lo : lo + n]))
             lo += n
-    if not math.isfinite(total):
-        raise DivergenceError("test risk is non-finite.")
+    require_finite(total, "test risk")
     return total
 
 
@@ -115,8 +112,7 @@ def consensus_map(theta: np.ndarray, layout: BlockLayout) -> dict[str, float]:
     for b in layout.blocks:
         diff = theta[:, b.slice] - center[b.slice]
         out[b.name] = float(np.sum(diff * diff)) / theta.shape[0]
-        if not math.isfinite(out[b.name]):
-            raise DivergenceError(f"consensus distance of block {b.name!r} is non-finite.")
+    require_finite(list(out.values()), "consensus distance")
     return out
 
 

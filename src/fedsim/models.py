@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import BlockLayout, ParamVector, Role, layout_from_sizes
+from .params import BlockLayout, ParamVector, Role, layout_from_sizes, require_finite
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -504,14 +504,13 @@ def loss_and_grad(model: ModelSpec, params, X, y) -> LossEval:
     """Batch-mean loss and gradient at params.
 
     A single call returns a float value and a ParamVector gradient and
-    rejects a non-finite value; a stacked call returns the (K,) values and
-    the (K, P) gradient matrix.
+    raises DivergenceError on a non-finite value; a stacked call returns the
+    (K,) values and the (K, P) gradient matrix.
     """
     value, grad = _evaluate(model, params, X, y, True)
     if not isinstance(params, ParamVector):
         return LossEval(value, grad)
-    if not np.isfinite(value[0]):
-        raise ValueError("loss is non-finite.")
+    require_finite(value, "loss")
     return LossEval(float(value[0]), ParamVector(grad[0], params.layout))
 
 
@@ -529,8 +528,7 @@ def batch_loss(model: ModelSpec, params, X, y, segments=None):
     value, _ = _evaluate(model, params, X, y, False)
     if not isinstance(params, ParamVector):
         return value
-    if not np.isfinite(value[0]):
-        raise ValueError("loss is non-finite.")
+    require_finite(value, "loss")
     return float(value[0])
 
 
@@ -671,15 +669,13 @@ def erm_closed_form(model: RidgeSpec, X, y):
     xt = X.transpose(0, 2, 1)
     h = xt @ X / n + model.l2 * np.eye(model.input_dim)
     b = (xt @ y[:, :, None]) / n
-    if not (np.isfinite(h).all() and np.isfinite(b).all()):
-        raise ValueError("ERM system contains infs or NaNs.")
+    require_finite(np.concatenate((h, b), axis=2), "ERM system")
     try:
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
         raise ValueError("ERM system is singular; needs l2 > 0 or full-rank data.") from exc
     theta = np.linalg.solve(h, b)[:, :, 0]
-    if not np.isfinite(theta).all():
-        raise ValueError("ERM solution contains non-finite entries.")
+    require_finite(theta, "ERM solution")
     if not single:
         return theta
     return ParamVector(theta[0], build_layout(model))

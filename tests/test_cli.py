@@ -132,6 +132,30 @@ def test_negative_seed_is_a_config_error_before_any_output(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "c.json", "--bogus"], "unrecognized arguments: --bogus."),
+        (["run", "c.json", "--seed", "abc"], "argument --seed: invalid int value: 'abc'."),
+        ([], "the following arguments are required: command."),
+        (["bogus"], "argument command: invalid choice: 'bogus' "),
+    ],
+    ids=["unknown-flag", "bad-seed", "no-command", "unknown-command"],
+)
+def test_a_usage_error_is_a_config_error_not_exit_2(tmp_path, capsys, argv, message):
+    # argparse exits 2 on a usage error, and exit 2 means divergence only
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "verify-bound" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "verify-bound", "consensus-trace"])
 def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys, command):
     if command == "verify-bound":
@@ -288,6 +312,33 @@ def test_a_sweep_point_that_blows_up_outside_the_step_check_exits_2(
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("divergence: alpha=1 tau=1 eta=1e+160 seed=1: "), err
+    assert err.count("\n") == 1, err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_row_whose_spread_overflows_exits_2_without_a_file(
+    tmp_path, capsys, monkeypatch, workers
+):
+    # each seed's final risks are finite, near 1e159, but their spread overflows
+    monkeypatch.setenv("FEDSIM_WORKERS", workers)
+    doc = {
+        "algorithm": "fedavg",
+        "clients": 1,
+        "seeds": [1, 2],
+        "model": {"family": "ridge", "input_dim": 2, "l2": 0.0},
+        "data": {
+            "source": {"kind": "gaussian_linear", "dim": 2},
+            "partition": {"mode": "per_client"},
+            "n_per_client": 8,
+        },
+        "schedule": {"tau": 1, "eta": 0.1, "rounds": 1, "batch_size": 2},
+        "metrics": {"risks_at_sync": False},
+    }
+    out = tmp_path / "o"
+    assert main(["sweep", _write(tmp_path, doc), "--grid", "eta=1e80", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: alpha=1 tau=1 eta=1e+80: "), err
     assert err.count("\n") == 1, err
     assert not (out / "sweep.csv").exists()
 
@@ -618,6 +669,39 @@ def test_verify_bound_exits_2_when_the_average_of_finite_erms_overflows(tmp_path
     assert main(["verify-bound", _write(tmp_path, doc), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "divergence: weighted average contains non-finite entries.\n"
     assert not (out / "bound_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "scale, code, err",
+    [
+        # the bound's cross term overflows: this printed PASS with rhs=inf
+        (1e100, 2, "divergence: bound report contains non-finite entries.\n"),
+        (1e150, 2, "divergence: bound report contains non-finite entries.\n"),
+        # the loss of the ERM gradient check overflows: this was a config error
+        (1e160, 2, "divergence: loss contains non-finite entries.\n"),
+        (1e200, 2, "divergence: loss contains non-finite entries.\n"),
+        # the generated labels overflow: bad input, as in run
+        (1e308, 1, "config error: shard labels contain non-finite entries.\n"),
+    ],
+    ids=["1e100", "1e150", "1e160", "1e200", "1e308"],
+)
+def test_verify_bound_exit_code_at_huge_coefficients(tmp_path, capsys, scale, code, err):
+    doc = _bound_doc(clients=2, n_per_client=10, dim=1, trials=100, seed=1,
+                     client_coefs=[[scale], [-scale]])
+    out = tmp_path / "o"
+    assert main(["verify-bound", _write(tmp_path, doc), "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert not (out / "bound_report.json").exists()
+
+
+def test_verify_bound_writes_a_null_stderr_fraction_for_a_zero_bound(tmp_path):
+    # zero coefficients and no noise: every risk is 0, so rhs is 0
+    doc = _bound_doc(coef_mode="zero", noise_std=0.0)
+    out = tmp_path / "o"
+    assert main(["verify-bound", _write(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads((out / "bound_report.json").read_text())["report"]
+    assert report["rhs"] == 0.0 and report["stderr_fraction"] is None
+    assert _non_finite_tokens(out) == []
 
 
 @pytest.mark.parametrize(
