@@ -220,10 +220,10 @@ def local_sgd_step(
         upd += correction
     upd *= eta
     theta -= upd
-    bad_loss = ~np.isfinite(ev.value) | (ev.value > DIVERGENCE_LIMIT)
-    bad_params = ~np.all(np.isfinite(theta), axis=1)
-    if np.any(bad_loss) or np.any(bad_params):
-        i = int(np.argmax(bad_loss | bad_params))
+    # whole-array checks on the common path; the rows are searched only when one fails
+    if not (np.isfinite(ev.value).all() and ev.value.max() <= DIVERGENCE_LIMIT and np.isfinite(theta).all()):
+        bad_loss = ~np.isfinite(ev.value) | (ev.value > DIVERGENCE_LIMIT)
+        i = int(np.argmax(bad_loss | ~np.all(np.isfinite(theta), axis=1)))
         k, value = ids[i], ev.value[i]
         if not np.isfinite(value):
             raise DivergenceError("loss is non-finite.", k)

@@ -107,11 +107,14 @@ def consensus_map(theta: np.ndarray, layout: BlockLayout) -> dict[str, float]:
     """
     if theta.ndim != 2 or theta.shape[0] == 0 or theta.shape[1] != layout.total_params:
         raise ValueError(f"theta has shape {theta.shape}, expected (K >= 1, {layout.total_params}).")
-    center = np.mean(theta, axis=0)
+    # np.mean and np.sum by their own reductions, without the wrappers: same bits
+    k = theta.shape[0]
+    center = np.add.reduce(theta, axis=0) / k
     out = {}
     for b in layout.blocks:
-        diff = theta[:, b.slice] - center[b.slice]
-        out[b.name] = float(np.sum(diff * diff)) / theta.shape[0]
+        diff = theta[:, b.slice] - center[b.slice]  # contiguous, so one pairwise sum
+        diff *= diff
+        out[b.name] = float(np.add.reduce(diff, axis=None)) / k
     require_finite(list(out.values()), "consensus distance")
     return out
 

@@ -125,10 +125,10 @@ def init_params(model: ModelSpec, layout: BlockLayout, rng: np.random.Generator)
     """
     theta = np.zeros((1, layout.total_params))
     if isinstance(model, MlpSpec):
-        for w, _ in _mlp_views(model, theta):  # biases stay zero
-            fan_in, fan_out = w.shape[1:]
+        for layer in _mlp_layers(model, theta):  # biases, the last rows, stay zero
+            fan_in, fan_out = layer.shape[1] - 1, layer.shape[2]
             scale = np.sqrt(2.0 / (fan_in + fan_out))
-            w[0] = rng.standard_normal((fan_in, fan_out)) * scale
+            layer[0, :-1] = rng.standard_normal((fan_in, fan_out)) * scale
     return ParamVector(theta[0], layout)
 
 
@@ -219,7 +219,7 @@ def _segments_plan(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.n
     return rows, pads, counts
 
 
-def _halving_sum(a: np.ndarray):
+def _halving_sum(a: np.ndarray, out=None):
     """Sum over axis 0 by recursive halving: S(A) = S(A[:n//2]) + S(A[n//2:]).
 
     Duplicating a batch as [A; A] splits exactly at the copy boundary, so the
@@ -231,24 +231,30 @@ def _halving_sum(a: np.ndarray):
     recursion's order, which saves most of the Python calls. From
     PLAN_MIN_ROWS rows on, the same tree runs from its cached plan: one gather,
     then one addition of even and odd rows per level, about log2(n) calls.
+    With out, the last addition writes the total there.
     """
     n = a.shape[0]
+    if n == 1:
+        return a[0] if out is None else np.copyto(out, a[0]) or out
     if n <= 3:
-        return a[0] if n == 1 else a[0] + a[1] if n == 2 else a[0] + (a[1] + a[2])
-    if n < PLAN_MIN_ROWS:
+        left, right = (a[0], a[1]) if n == 2 else (a[0], a[1] + a[2])
+    elif n < PLAN_MIN_ROWS:
         h = n // 2
-        return _halving_sum(a[:h]) + _halving_sum(a[h:])
-    return _planned_sum(a, *_halving_plan(n))
+        left, right = _halving_sum(a[:h]), _halving_sum(a[h:])
+    else:
+        return _planned_sum(a, *_halving_plan(n), out)
+    return np.add(left, right, out=out)
 
 
-def _planned_sum(a: np.ndarray, rows: np.ndarray, pads: np.ndarray):
+def _planned_sum(a: np.ndarray, rows: np.ndarray, pads: np.ndarray, out=None):
     """Run a halving plan on a: gather its summand rows, set its pads to -0.0,
-    then add even and odd rows, one level of the tree at a time."""
+    then add even and odd rows, one level of the tree at a time; with out,
+    the last level writes there."""
     level = a[rows]
     level[pads] = -0.0
-    while level.shape[0] > 1:
+    while level.shape[0] > 2:
         level = level[0::2] + level[1::2]
-    return level[0]
+    return np.add(level[0], level[1], out=out)
 
 
 def _matvec(X: np.ndarray, theta: np.ndarray, mm=np.matmul) -> np.ndarray:
@@ -301,37 +307,31 @@ def _logistic_eval(model, theta, X, y, need_grad, mm=np.matmul):
     return data, _halving_sum((X * (-yf * s)[:, :, None]).swapaxes(0, 1)) / X.shape[1]
 
 
-def _mlp_views(model: MlpSpec, theta: np.ndarray):
-    """Per-layer (weights (K, in, out), bias (K, out)) views into theta (K, P)."""
-    widths = model.widths
-    k = theta.shape[0]
+def _mlp_layers(model: MlpSpec, theta: np.ndarray):
+    """Per-layer (K, in + 1, out) views into theta (K, P): the weights, then
+    the bias as the last row."""
     views = []
     offset = 0
-    for i in range(model.num_layers):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        w = theta[:, offset : offset + fan_in * fan_out].reshape(k, fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = theta[:, offset : offset + fan_out]
-        offset += fan_out
-        views.append((w, b))
+    for fan_in, fan_out in zip(model.widths, model.widths[1:]):
+        size = (fan_in + 1) * fan_out
+        views.append(theta[:, offset : offset + size].reshape(theta.shape[0], fan_in + 1, fan_out))
+        offset += size
     return views
 
 
 def _mlp_forward(model: MlpSpec, theta: np.ndarray, X: np.ndarray, mm=np.matmul):
-    """Layer inputs and pre-activations; the last pre-activation is the logits.
+    """Layers, layer inputs and pre-activations; the last pre-activation is the logits.
 
     One stacked matmul per layer: a BLAS call per client on its own matrices.
     """
-    layers = _mlp_views(model, theta)
+    layers = _mlp_layers(model, theta)
     acts = [X]
     pre = []
-    a = X
-    for i, (w, b) in enumerate(layers):
-        z = mm(a, w) + b[:, None, :]
+    for i, layer in enumerate(layers):
+        z = mm(acts[i], layer[:, :-1]) + layer[:, -1:]
         pre.append(z)
         if i < len(layers) - 1:
-            a = np.maximum(z, 0.0) if model.activation == "relu" else np.tanh(z)
-            acts.append(a)
+            acts.append(np.maximum(z, 0.0) if model.activation == "relu" else np.tanh(z))
     return layers, acts, pre
 
 
@@ -350,19 +350,25 @@ def _mlp_eval(model, theta, X, y, need_grad, mm=np.matmul):
     if not need_grad:
         return data, None
 
-    grad = np.zeros_like(theta)
-    gviews = _mlp_views(model, grad)
+    grad = np.empty(theta.shape)
+    gviews = _mlp_layers(model, grad)
     probs /= total
     delta = probs
     delta[picked] -= 1.0
     delta /= n
     for i in range(len(layers) - 1, -1, -1):
-        gw, gb = gviews[i]
-        # contract the sample axis by halving, not BLAS, for duplication invariance
-        gw[:] = _halving_sum((acts[i][:, :, :, None] * delta[:, :, None, :]).swapaxes(0, 1))
-        gb[:] = _halving_sum(delta.swapaxes(0, 1))
+        # contract the sample axis by halving, not BLAS, for duplication
+        # invariance. The product is laid out sample by sample, so every
+        # addition reads contiguous (K, in + 1, out) arrays; its last row is
+        # 1.0 * delta, delta itself, so one sum gives the weight and the bias
+        # gradient.
+        outer = np.empty((n, k) + gviews[i].shape[1:])
+        outer[:, :, :-1] = acts[i].swapaxes(0, 1)[:, :, :, None]
+        outer[:, :, -1] = 1.0
+        outer *= delta.swapaxes(0, 1)[:, :, None, :]
+        _halving_sum(outer, out=gviews[i])
         if i > 0:
-            upstream = np.matmul(delta, layers[i][0].transpose(0, 2, 1))
+            upstream = np.matmul(delta, layers[i][:, :-1].transpose(0, 2, 1))
             if model.activation == "relu":
                 delta = upstream * (pre[i - 1] > 0.0)
             else:
@@ -386,8 +392,8 @@ def stack_rows(model: ModelSpec, b: int, need_grad: bool) -> int:
         w = model.widths
         per_sample = 2 * sum(w)  # layer inputs, pre-activations, probabilities
         if need_grad:
-            # one layer's (in, out) weight-gradient product per sample
-            per_sample += max(w[i] * w[i + 1] for i in range(model.num_layers))
+            # one layer's (in + 1, out) weight-and-bias gradient product per sample
+            per_sample += max((w[i] + 1) * w[i + 1] for i in range(model.num_layers))
     else:
         per_sample = 2 * model.input_dim  # the batch and its gradient product
     return max(1, STACK_ELEMENTS // (b * per_sample))

@@ -118,6 +118,28 @@ def test_lockstep_divergence_names_the_lowest_failing_client():
     assert info.value.client == 2
 
 
+def test_lockstep_divergence_names_a_client_whose_parameters_overflow():
+    # every loss is finite and small; client 2's step overflows its parameter
+    model = RidgeSpec(input_dim=1)
+    X = np.array([1.0, 1.0, 2.0])[:, None, None] * np.ones((3, 2, 1))
+    with np.errstate(over="ignore"), pytest.raises(
+        DivergenceError, match=r"^client 2 parameters went non-finite\.$"
+    ) as info:
+        local_sgd_step(model, np.ones((3, 1)), X, np.zeros((3, 2)), 1e308)
+    assert info.value.client == 2
+
+
+@pytest.mark.parametrize("loss", [np.nan, np.inf, -np.inf])
+def test_lockstep_divergence_flags_every_non_finite_loss(monkeypatch, loss):
+    # no model gives a loss of -inf, so a fake evaluation stands in for one
+    values = np.array([0.5, loss, 0.5])
+    fake = lambda model, theta, X, y: models.LossEval(values, np.zeros(theta.shape))  # noqa: E731
+    monkeypatch.setattr(engine, "loss_and_grad", fake)
+    with pytest.raises(DivergenceError, match=r"^loss is non-finite\.$") as info:
+        local_sgd_step(RidgeSpec(input_dim=1), np.ones((3, 1)), np.ones((3, 2, 1)), np.zeros((3, 2)), 0.1)
+    assert info.value.client == 1
+
+
 @pytest.mark.parametrize("algorithm", ["fedavg", "fedals_scaffold"])
 def test_engine_trajectory_to_first_sync_equals_local_steps(algorithm, monkeypatch):
     # K = 3 clients on their own laws; capture the stack when the first sync starts
@@ -187,8 +209,8 @@ def test_chunked_step_equals_unchunked_step(monkeypatch):
     whole = theta.copy()
     whole_losses = local_sgd_step(model, whole, X, y, 0.1, correction)
     whole_samples = sample_losses(model, theta, X, y)
-    # a row of 5 samples: 5 * (2 * sum of widths + the 6 x 40 gradient product)
-    monkeypatch.setattr(models, "STACK_ELEMENTS", 3 * 5 * (2 * (6 + 40 + 5) + 6 * 40))
+    # a row of 5 samples: 5 * (2 * sum of widths + the (6 + 1) x 40 gradient product)
+    monkeypatch.setattr(models, "STACK_ELEMENTS", 3 * 5 * (2 * (6 + 40 + 5) + 7 * 40))
     assert stack_rows(model, 5, True) == 3
     chunked = theta.copy()
     assert np.array_equal(local_sgd_step(model, chunked, X, y, 0.1, correction), whole_losses)

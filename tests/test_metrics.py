@@ -155,6 +155,32 @@ def test_consensus_homogeneity_and_additivity():
     assert sum(per_block.values()) == pytest.approx(total, rel=1e-12)
 
 
+def _consensus_reference(theta, layout):
+    """consensus_map in its np.mean and np.sum form."""
+    center = np.mean(theta, axis=0)
+    out = {}
+    for b in layout.blocks:
+        diff = theta[:, b.slice] - center[b.slice]
+        out[b.name] = float(np.sum(diff * diff)) / theta.shape[0]
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10, 33])
+def test_consensus_keeps_the_bits_of_the_mean_and_sum_form(k):
+    # rows spread over 60 decades, on the headline MLP's four blocks and on
+    # blocks long enough for the pairwise sum's unrolled and blocked paths
+    rng = np.random.default_rng(k)
+    mlp = build_layout(MlpSpec(10, (16, 16, 16), 10), 2)
+    wide = layout_from_sizes([("a", 1, Role.REPRESENTATION), ("b", 7, Role.HEAD), ("c", 300, Role.HEAD)])
+    for lay in (mlp, wide):
+        shape = (2 * k, lay.total_params)
+        theta = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+        for rows in (theta[:k], theta[::2]):  # a contiguous and a strided stack
+            got = consensus_map(rows, lay)
+            want = _consensus_reference(rows, lay)
+            assert {n: v.hex() for n, v in got.items()} == {n: v.hex() for n, v in want.items()}
+
+
 def test_consensus_validation():
     lay = layout_from_sizes([("h", 1, Role.HEAD)])
     with pytest.raises(ValueError, match="K >= 1"):

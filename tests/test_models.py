@@ -173,13 +173,16 @@ def _assert_same_bits(a):
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.asarray(_recursive_sum(a))
         got = np.asarray(models._halving_sum(a))
+        into = np.empty(a.shape[1:])
+        assert models._halving_sum(a, out=into) is into
     assert got.shape == want.shape == a.shape[1:]
     # Where two NaNs of opposite sign meet, numpy's addition returns one or the
     # other depending on the element's place in its loop (the recursion itself
     # differs between a stack and its columns), so NaN-ness is compared, and
     # every other value bit for bit.
-    got, want = (np.where(np.isnan(x), np.nan, x) for x in (got, want))
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), a.shape
+    for x in (got, into):
+        x, w = (np.where(np.isnan(v), np.nan, v) for v in (x, want))
+        assert np.array_equal(x.view(np.uint64), w.view(np.uint64)), a.shape
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,6 +210,81 @@ def test_halving_sum_bits_for_every_small_n(monkeypatch, plan_min_rows):
         for tail, stacked in (((), False), ((5,), True), ((3, 2, 2), True)):
             _assert_same_bits(_summands(rng, n, tail, 0.1, stacked))
         _assert_same_bits(np.full((n, 2), -0.0))  # a sum of -0.0 keeps its sign
+
+
+def _mlp_reference(model, theta, X, y):
+    """Batch-mean losses (K,) and gradient (K, P) of an MLP stack, by the form
+    with separate weight and bias sums: contiguous layer inputs, and per layer
+    one halving sum of the (in, out) product and one of the output gradient."""
+    X, y = models._duplicate_single(X, y)
+    k, n = y.shape
+    layers = []
+    offset = 0
+    for fan_in, fan_out in zip(model.widths, model.widths[1:]):
+        w = theta[:, offset : offset + fan_in * fan_out].reshape(k, fan_in, fan_out)
+        offset += fan_in * fan_out
+        layers.append((w, theta[:, offset : offset + fan_out]))
+        offset += fan_out
+    acts, pre = [X], []
+    for i, (w, b) in enumerate(layers):
+        z = np.matmul(acts[-1], w) + b[:, None, :]
+        pre.append(z)
+        if i < len(layers) - 1:
+            acts.append(np.maximum(z, 0.0) if model.activation == "relu" else np.tanh(z))
+    picked = (np.arange(k)[:, None], np.arange(n), y)
+    zmax = pre[-1].max(axis=2, keepdims=True)
+    probs = np.exp(pre[-1] - zmax)
+    total = probs.sum(axis=2, keepdims=True)
+    data = zmax[:, :, 0] + np.log(total[:, :, 0]) - pre[-1][picked]
+    value = models._halving_sum(data.swapaxes(0, 1)) / n + 0.5 * model.l2 * models._rowdot(theta)
+    delta = probs / total
+    delta[picked] -= 1.0
+    delta /= n
+    parts = []
+    for i in range(len(layers) - 1, -1, -1):
+        gw = models._halving_sum((acts[i][:, :, :, None] * delta[:, :, None, :]).swapaxes(0, 1))
+        parts[:0] = [gw.reshape(k, -1), models._halving_sum(delta.swapaxes(0, 1))]
+        if i > 0:
+            upstream = np.matmul(delta, layers[i][0].transpose(0, 2, 1))
+            if model.activation == "relu":
+                delta = upstream * (pre[i - 1] > 0.0)
+            else:
+                delta = upstream * (1.0 - np.tanh(pre[i - 1]) ** 2)
+    grad = np.concatenate(parts, axis=1)
+    grad += model.l2 * theta
+    return value, grad
+
+
+def _assert_mlp_matches_reference(model, k, b, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal((k, build_layout(model).total_params)) * 0.5
+    X = rng.standard_normal((k, b, model.input_dim))
+    y = rng.integers(0, model.num_classes, size=(k, b))
+    value, grad = _mlp_reference(model, theta, X, y)
+    got = loss_and_grad(model, theta, X, y)
+    assert got.value.tobytes() == value.tobytes()
+    assert got.grad.tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 5, 200])
+@pytest.mark.parametrize("b", [1, 2, 5, 33])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_mlp_gradient_from_one_sum_per_layer_keeps_the_separate_sums_bits(activation, b, k):
+    # one halving sum of the product with delta as its last row gives each
+    # layer's weight and bias gradient; b = 1 is evaluated as its duplicate,
+    # b = 33 sums by the plan, K = 200 runs in chunks
+    model = MlpSpec(10, (16, 16), 10, activation=activation, l2=0.01)
+    assert (k == 200) == (k > models.stack_rows(model, max(b, 2), True))
+    _assert_mlp_matches_reference(model, k, b, seed=100 * b + k)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_mlp_gradient_from_one_sum_per_layer_in_a_chunked_stack(monkeypatch, activation):
+    # five rows of a deeper net in chunks of 2, 2 and 1
+    model = MlpSpec(7, (16, 16, 16), 5, activation=activation, l2=0.1)
+    monkeypatch.setattr(models, "STACK_ELEMENTS", 2 * 3 * (2 * (7 + 48 + 5) + 17 * 16))
+    assert models.stack_rows(model, 3, True) == 2
+    _assert_mlp_matches_reference(model, 5, 3, seed=41)
 
 
 def test_mu_l_exact_trivial_cases():
