@@ -42,7 +42,8 @@ RUN_OUTPUTS = ("metrics.jsonl", "summary.json")
 # case name -> (subcommand, extra arguments, output files); the config is
 # configs/<name>.json. Together they cover every algorithm, the ridge,
 # logistic and MLP families, every partition mode, full, with- and
-# without-replacement participation, and the bound report.
+# without-replacement participation, and the bound report, once with
+# client samples of at least models.PLAN_MIN_ROWS rows.
 CASES = {
     "fedavg_ridge_iid": ("run", (), RUN_OUTPUTS),
     "scaffold_ridge_perclient_withrep": ("run", (), RUN_OUTPUTS),
@@ -55,6 +56,7 @@ CASES = {
         "consensus.csv", "consensus_summary.json",
     )),
     "bound_perclient_identities": ("verify-bound", ("--identities",), ("bound_report.json",)),
+    "bound_planned_sum": ("verify-bound", ("--identities",), ("bound_report.json",)),
 }
 
 
