@@ -110,20 +110,20 @@ def one_round_fedavg_erm(
     Returns X (T, K, n, d), y (T, K, n), the local ERMs (T, K, d) and the
     aggregates (T, d) for the T trials in trials. Client k of trial t draws
     its sample from the stream (seed, TRIAL, t, k); the block's stream states
-    are derived in one rng.seed_states call. The aggregates are one
+    are derived in one rng.seed_states call, and its samples drawn by one
+    GaussianLinear.sample_clients call. The aggregates are one
     params.weighted_average over the client axis, which is element-wise, so
     each row equals weighted_average of its trial's locals bit for bit.
     """
     gen_spec = config.generator
     model = RidgeSpec(gen_spec.dim, config.l2)
     k_clients, n = config.num_clients, config.n_per_client
-    X = np.empty((len(trials), k_clients, n, gen_spec.dim))
-    y = np.empty((len(trials), k_clients, n))
     paths = streams.stream_paths(streams.TRIAL, np.asarray(trials)[:, None], np.arange(k_clients))
-    states = streams.seed_states(config.seed, paths)
-    for i in range(len(trials)):
-        for k in range(k_clients):
-            X[i, k], y[i, k] = gen_spec.sample(n, k, streams.from_state(states[i, k]))
+    states = streams.seed_states(config.seed, paths).reshape(-1, 4)
+    gens = (streams.from_state(state) for state in states)
+    X, y = gen_spec.sample_clients(n, np.tile(np.arange(k_clients), len(trials)), gens)
+    X = X.reshape(len(trials), k_clients, n, gen_spec.dim)
+    y = y.reshape(len(trials), k_clients, n)
     require_finite_samples(X, y)  # labels of huge coefficients overflow: bad input, exit 1
     locals_ = erm_closed_form(model, X.reshape(-1, n, gen_spec.dim), y.reshape(-1, n))
     locals_ = locals_.reshape(len(trials), k_clients, gen_spec.dim)

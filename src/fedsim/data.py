@@ -61,12 +61,30 @@ class GaussianLinear:
         return self.client_coefs[client]
 
     def sample(self, n: int, client: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        z = gen.standard_normal((n, self.dim))
-        x = z @ self._sqrt.T
+        X, y = self.sample_clients(n, [client], [gen])
+        return X[0], y[0]
+
+    def sample_clients(self, n: int, clients, gens) -> tuple[np.ndarray, np.ndarray]:
+        """X (S, n, d) and y (S, n): n rows of client clients[s]'s law from the
+        s-th stream that gens yields.
+
+        Each stream draws its z (n, d), then its noise (n,), into its row of one
+        buffer before the next is taken, so gens may build its streams one at
+        a time. numpy runs a stacked product as one BLAS call per sample, with
+        that sample's 2-d shapes, so every sample has the bits of its own 2-d
+        products.
+        """
+        z = np.empty((len(clients), n, self.dim))
+        eps = np.empty((len(clients), n))
+        for gen, zs, es in zip(gens, z, eps):
+            gen.standard_normal(out=zs)
+            gen.standard_normal(out=es)
+        X = z @ self._sqrt.T
+        coefs = self.client_coefs if self.client_coefs.shape[0] == 1 else self.client_coefs[clients]
         # overflowing labels come back as inf; every caller rejects non-finite labels
         with np.errstate(over="ignore", invalid="ignore"):
-            y = x @ self.coef_for(client) + self.noise_std * gen.standard_normal(n)
-        return x, y
+            y = (X @ coefs[:, :, None])[:, :, 0] + self.noise_std * eps
+        return X, y
 
 
 @dataclass(eq=False)

@@ -267,17 +267,30 @@ def _rowdot(theta: np.ndarray) -> np.ndarray:
     return np.matmul(theta[:, None, :], theta[:, :, None])[:, 0, 0]
 
 
-# Each family evaluator takes theta (K, P), X (K, b, d) and y (K, b) and returns
-# the per-sample data losses (K, b) and, when need_grad is set, the batch-mean
-# data gradient (K, P), summed by halving along the sample axis. mm multiplies
-# the samples by the parameters in the forward pass; _segmented replaces it
-# to evaluate several shards laid end to end along the sample axis.
+# Each family evaluator takes theta (K, P), X (K, b, d) and y (K, b). Without
+# need_grad it returns the per-sample data losses (K, b) and None; with it, the
+# data loss total (K,) and the batch-mean data gradient (K, P), both summed by
+# halving along the sample axis. mm multiplies the samples by the parameters
+# in the forward pass; _segmented replaces it to evaluate several shards laid
+# end to end along the sample axis.
+
+
+def _linear_sums(X, g, data):
+    """The loss total (K,) and batch-mean gradient (K, d) of a linear model from
+    one halving sum. The product is laid out sample by sample, (b, K, d + 1):
+    x * g in the first d columns and the sample's data loss in the last. Every
+    addition is element by element, so both keep the bits of separate sums."""
+    prod = np.empty((X.shape[1], X.shape[0], X.shape[2] + 1))
+    np.multiply(X.swapaxes(0, 1), g.T[:, :, None], out=prod[:, :, :-1])
+    prod[:, :, -1] = data.T
+    total = _halving_sum(prod)
+    return total[:, -1], total[:, :-1] / X.shape[1]
 
 
 def _ridge_eval(model, theta, X, y, need_grad, mm=np.matmul):
     r = _matvec(X, theta, mm) - y
-    grad = _halving_sum((X * r[:, :, None]).swapaxes(0, 1)) / X.shape[1] if need_grad else None
-    return 0.5 * r * r, grad
+    data = 0.5 * r * r
+    return _linear_sums(X, r, data) if need_grad else (data, None)
 
 
 def check_labels(model: ModelSpec, y: np.ndarray) -> None:
@@ -304,7 +317,7 @@ def _logistic_eval(model, theta, X, y, need_grad, mm=np.matmul):
         return data, None
     # sigmoid(-t) via tanh is stable for large |t|
     s = 0.5 * (1.0 - np.tanh(0.5 * t))
-    return data, _halving_sum((X * (-yf * s)[:, :, None]).swapaxes(0, 1)) / X.shape[1]
+    return _linear_sums(X, -yf * s, data)
 
 
 def _mlp_layers(model: MlpSpec, theta: np.ndarray):
@@ -373,7 +386,7 @@ def _mlp_eval(model, theta, X, y, need_grad, mm=np.matmul):
                 delta = upstream * (pre[i - 1] > 0.0)
             else:
                 delta = upstream * (1.0 - np.tanh(pre[i - 1]) ** 2)
-    return data, grad
+    return _halving_sum(data.swapaxes(0, 1)), grad
 
 
 _EVALS = {RidgeSpec: _ridge_eval, LogisticL2Spec: _logistic_eval, MlpSpec: _mlp_eval}
@@ -395,7 +408,7 @@ def stack_rows(model: ModelSpec, b: int, need_grad: bool) -> int:
             # one layer's (in + 1, out) weight-and-bias gradient product per sample
             per_sample += max((w[i] + 1) * w[i + 1] for i in range(model.num_layers))
     else:
-        per_sample = 2 * model.input_dim  # the batch and its gradient product
+        per_sample = 2 * model.input_dim + 1  # the batch; its gradient product and loss column
     return max(1, STACK_ELEMENTS // (b * per_sample))
 
 
@@ -407,12 +420,13 @@ def _eval_rows(model: ModelSpec, theta, X, y, need_grad: bool):
 
 
 def _stacked_eval(model: ModelSpec, theta, X, y, need_grad: bool):
-    """Per-sample data losses (K, b) and, with need_grad, the batch-mean gradient
-    (K, P) with its l2 term, in chunks of at most stack_rows rows."""
+    """Per-sample data losses (K, b), or with need_grad the data loss totals (K,)
+    and the batch-mean gradient (K, P) with its l2 term, in chunks of at most
+    stack_rows rows."""
     k, rows = theta.shape[0], stack_rows(model, X.shape[1], need_grad)
     if k <= rows:
         return _eval_rows(model, theta, X, y, need_grad)
-    data = np.empty(X.shape[:2])
+    data = np.empty(X.shape[:1] if need_grad else X.shape[:2])
     grad = np.empty(theta.shape) if need_grad else None
     for i in range(0, k, rows):
         part = slice(i, i + rows)
@@ -426,8 +440,8 @@ def _evaluate(model: ModelSpec, params, X, y, need_grad: bool):
     theta, X, y = _check_batch(model, params, X, y)
     X, y = _duplicate_single(X, y)
     data, grad = _stacked_eval(model, theta, X, y, need_grad)
-    value = _halving_sum(data.swapaxes(0, 1)) / X.shape[1] + 0.5 * model.l2 * _rowdot(theta)
-    return value, grad
+    total = data if need_grad else _halving_sum(data.swapaxes(0, 1))
+    return total / X.shape[1] + 0.5 * model.l2 * _rowdot(theta), grad
 
 
 def _segmented(sizes, duplicate_single: bool):

@@ -1,9 +1,13 @@
 """Generators, partitioners, and round-batch sampling."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from fedsim import rng as streams
+from fedsim.cli import main
 from fedsim.data import (
     DatasetShard,
     GaussianClusters,
@@ -35,6 +39,55 @@ def _partition_covers(shards, X, y):
     got_x = np.concatenate([s.X for s in shards])
     got_y = np.concatenate([s.y for s in shards])
     assert _as_multiset(got_x, got_y) == _as_multiset(X, y)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("covariance", ["diagonal", "full"])
+@pytest.mark.parametrize("shared", [True, False])
+def test_stacked_sampler_equals_per_stream_draws(n, k, covariance, shared):
+    # each stream draws z (n, d), then its noise (n,); the stacked products
+    # give every sample the bits of its own 2-d products
+    d = 3
+    rng = np.random.default_rng(100 * n + k)
+    if covariance == "diagonal":
+        cov = np.diag([1.0, 0.5, 2.0])
+    else:
+        a = rng.standard_normal((d, d))
+        cov = a @ a.T + 0.1 * np.eye(d)
+    coefs = rng.standard_normal((1 if shared else k, d))
+    spec = GaussianLinear(covariance=cov, client_coefs=coefs, noise_std=0.7, seed=0)
+    clients = np.arange(k)[::-1]
+    X, y = spec.sample_clients(n, clients, [substream(9, 1, s) for s in range(k)])
+    assert X.shape == (k, n, d) and y.shape == (k, n)
+    for s, client in enumerate(clients):
+        gen = substream(9, 1, s)
+        x = gen.standard_normal((n, d)) @ spec._sqrt.T
+        labels = x @ coefs[0 if shared else client] + 0.7 * gen.standard_normal(n)
+        assert X[s].tobytes() == x.tobytes()
+        assert y[s].tobytes() == labels.tobytes()
+        single = spec.sample(n, client, substream(9, 1, s))
+        assert single[0].tobytes() == x.tobytes() and single[1].tobytes() == labels.tobytes()
+
+
+def test_overflowing_bound_labels_exit_1_without_a_runtime_warning(tmp_path, capsys):
+    # the labels overflow to inf in the stacked product and in the noise sum,
+    # and the trial block rejects them
+    doc = {"clients": 2, "n_per_client": 10, "dim": 1, "l2": 0.5, "trials": 100, "seed": 1,
+           "noise_std": 1e308, "client_coefs": [[1e308], [-1e308]]}
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify-bound", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config error: shard labels contain non-finite entries.\n"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    # the sampler itself warns of nothing either, outside the CLI's errstate
+    spec = GaussianLinear([[1.0]], doc["client_coefs"], noise_std=1e308, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, y = spec.sample_clients(10, [0, 1], [substream(1, 0), substream(1, 1)])
+    assert not np.isfinite(y).all()
 
 
 def test_noiseless_linear_labels_are_exact():

@@ -196,7 +196,7 @@ def test_shard_risks_equal_one_batch_loss_per_shard(monkeypatch):
 def test_stack_rows_caps_the_gradient_product():
     # a 784-256 layer: one row of 32 samples already exceeds the budget
     assert stack_rows(MlpSpec(784, (256,), 10), 32, True) == 1
-    assert stack_rows(RidgeSpec(input_dim=4), 8, True) == models.STACK_ELEMENTS // 64
+    assert stack_rows(RidgeSpec(input_dim=4), 8, True) == models.STACK_ELEMENTS // 72
 
 
 def test_chunked_step_equals_unchunked_step(monkeypatch):

@@ -287,6 +287,62 @@ def test_mlp_gradient_from_one_sum_per_layer_in_a_chunked_stack(monkeypatch, act
     _assert_mlp_matches_reference(model, 5, 3, seed=41)
 
 
+def _linear_reference(model, theta, X, y):
+    """Batch-mean losses (K,) and gradient (K, P) of a linear stack by the form
+    with two halving sums: one of the per-sample losses, and one of the
+    client-major gradient product."""
+    X, y = models._duplicate_single(X, y)
+    t = models._matvec(X, theta)
+    if isinstance(model, RidgeSpec):
+        g = t - y
+        data = 0.5 * g * g
+    else:
+        t = y * t
+        data = np.logaddexp(0.0, -t)
+        g = -y * (0.5 * (1.0 - np.tanh(0.5 * t)))
+    n = X.shape[1]
+    value = models._halving_sum(data.swapaxes(0, 1)) / n + 0.5 * model.l2 * models._rowdot(theta)
+    grad = models._halving_sum((X * g[:, :, None]).swapaxes(0, 1)) / n
+    grad += model.l2 * theta
+    return value, grad
+
+
+def _assert_linear_matches_reference(model, k, b, seed):
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal((k, model.input_dim))
+    X = rng.standard_normal((k, b, model.input_dim))
+    if isinstance(model, RidgeSpec):
+        y = rng.standard_normal((k, b))
+    else:
+        y = rng.choice([-1.0, 1.0], size=(k, b))
+    value, grad = _linear_reference(model, theta, X, y)
+    got = loss_and_grad(model, theta, X, y)
+    assert got.value.tobytes() == value.tobytes()
+    assert got.grad.tobytes() == grad.tobytes()
+    assert batch_loss(model, theta, X, y).tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 5, 200])
+@pytest.mark.parametrize("b", [1, 2, 5, 32, 33, 50])
+@pytest.mark.parametrize("family", ["ridge", "logistic"])
+def test_linear_loss_from_the_gradient_sum_keeps_the_separate_sums_bits(family, b, k):
+    # the loss column rides in the gradient product's halving sum; b = 1 is
+    # evaluated as its duplicate, b >= 32 sums by the plan, and K = 200 runs
+    # in chunks from b = 32 on
+    model = (RidgeSpec if family == "ridge" else LogisticL2Spec)(input_dim=6, l2=0.05)
+    assert (k == 200 and b >= 32) == (k > models.stack_rows(model, max(b, 2), True))
+    _assert_linear_matches_reference(model, k, b, seed=100 * b + k)
+
+
+@pytest.mark.parametrize("family", ["ridge", "logistic"])
+def test_linear_loss_from_the_gradient_sum_in_a_chunked_stack(monkeypatch, family):
+    # five rows in chunks of 2, 2 and 1
+    model = (RidgeSpec if family == "ridge" else LogisticL2Spec)(input_dim=6, l2=0.3)
+    monkeypatch.setattr(models, "STACK_ELEMENTS", 2 * 40 * (2 * 6 + 1))
+    assert models.stack_rows(model, 40, True) == 2
+    _assert_linear_matches_reference(model, 5, 40, seed=43)
+
+
 def test_mu_l_exact_trivial_cases():
     model = RidgeSpec(input_dim=2, l2=0.3)
     mu, L = mu_L_exact(model, np.zeros((4, 2)))
